@@ -12,43 +12,36 @@ y_i = lambda_i + ... + lambda_n turns the ordering constraints into plain
 nonnegativity and leaves a standard-form problem with an all-slack feasible
 basis, solved by a dense simplex with Bland's rule.
 
-The same row data drives vertex enumeration of norm balls (incremental double
-description on the homogenized cone), which powers the double-dual involution
-and the finite representation check.
+The rows come from ``norms.spec_rows``, the cached row matrix that also
+evaluates the primal norm; ``spec_rows`` and ``UnsupportedSpecError`` are
+re-exported here. The same rows drive vertex enumeration of norm balls
+(incremental double description on the homogenized cone), which powers the
+double-dual involution and the finite representation check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .norms import (
-    CSup,
-    KyFan,
-    KyFanZero,
     Lp,
     NormSpec,
-    Operator,
     SupOf,
-    TBracket,
-    Trace,
-    Weight,
+    UnsupportedSpecError,
     norm_mat,
     norm_vec,
+    power_mean,
+    spec_rows,
 )
-from .stepfn import StepFn, partial_integral
+from .stepfn import StepFn
 
 PIVOT_TOL = 1e-10
 VERTEX_DIM_CAP = 12
-
-
-class UnsupportedSpecError(ValueError):
-    """The requested dual computation is not available for this norm kind."""
 
 
 def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
@@ -68,13 +61,10 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     tab[m, :d] = -c
     basis = list(range(d, d + m))
     while True:
-        enter = -1
-        for j in range(d + m):
-            if tab[m, j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        eligible = np.flatnonzero(tab[m, :-1] < -PIVOT_TOL)
+        if eligible.size == 0:
             break
+        enter = int(eligible[0])
         leave = -1
         best = np.inf
         for i in range(m):
@@ -88,11 +78,11 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
                     leave = i
         if leave < 0:
             raise RuntimeError("LP is unbounded; the row set is not a norm ball")
-        piv = tab[leave, enter]
-        tab[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i] -= tab[i, enter] * tab[leave]
+        tab[leave] /= tab[leave, enter]
+        col = tab[:, enter].copy()
+        col[leave] = 0.0
+        hit = np.flatnonzero(col)
+        tab[hit] -= np.outer(col[hit], tab[leave])
         basis[leave] = enter
     x = np.zeros(d)
     for i, b in enumerate(basis):
@@ -105,82 +95,21 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
 class OrderedConeLP:
     """A pairing maximization over a polyhedral norm ball on the ordered cone.
 
-    ``rows`` are the linear pieces of the norm: on the ordered cone the norm
-    of y is max(r . y) and the unit ball is {r . y <= 1 for all r}, together
-    with the implicit ordering constraints y_1 >= ... >= y_n >= 0.
+    ``rows`` holds the linear pieces of the norm, one per row: on the ordered
+    cone the norm of y is max(rows @ y) and the unit ball is {rows @ y <= 1},
+    together with the implicit ordering constraints y_1 >= ... >= y_n >= 0.
     """
 
     objective: np.ndarray
-    rows: list[np.ndarray]
+    rows: np.ndarray
 
     def solve(self) -> tuple[float, np.ndarray]:
         """Optimal value and an optimal (ordered) y."""
-        n = len(self.objective)
-        B = np.array([np.cumsum(r) for r in self.rows], dtype=float)
+        B = np.cumsum(self.rows, axis=1)
         c = np.cumsum(self.objective)
         value, lam = simplex_max(c, B)
         y = np.cumsum(lam[::-1])[::-1]
         return value, y
-
-
-def _kyfan_row(t: Fraction | float, n: int) -> np.ndarray:
-    """Coefficients r with r . y = Ky Fan t-norm of the ordered vector y."""
-    if t == 0:
-        r = np.zeros(n)
-        r[0] = 1.0
-        return r
-    tq = Fraction(t) if not isinstance(t, Fraction) else t
-    r = np.zeros(n)
-    for i in range(n):
-        lo = Fraction(i, n)
-        hi = Fraction(i + 1, n)
-        overlap = min(hi, tq) - lo
-        if overlap <= 0:
-            break
-        r[i] = float(overlap / tq)
-    return r
-
-
-def _weight_row(w: StepFn, n: int) -> np.ndarray:
-    """Coefficients r with r . y = pairing of w against y on the n-grid."""
-
-    def head(x: Fraction) -> float:
-        return 0.0 if x == 0 else partial_integral(w, x)
-
-    return np.array(
-        [head(Fraction(i + 1, n)) - head(Fraction(i, n)) for i in range(n)]
-    )
-
-
-def spec_rows(spec: NormSpec, n: int) -> list[np.ndarray]:
-    """Linear pieces of a polyhedral norm on the ordered cone in R^n."""
-    if isinstance(spec, (Operator, KyFanZero)):
-        return [_kyfan_row(0, n)]
-    if isinstance(spec, Trace):
-        return [np.full(n, 1.0 / n)]
-    if isinstance(spec, KyFan):
-        return [_kyfan_row(spec.t, n)]
-    if isinstance(spec, Weight):
-        return [_weight_row(spec.f, n)]
-    if isinstance(spec, SupOf):
-        return [_weight_row(w, n) for w in spec.fs]
-    if isinstance(spec, TBracket):
-        return [float(spec.t) * _kyfan_row(0, n), np.full(n, 1.0 / n)]
-    if isinstance(spec, CSup):
-        rows = []
-        for lo, hi, cv in spec.c.intervals():
-            if cv <= 0.0:
-                continue
-            rows.append(cv * _kyfan_row(lo, n))
-            rows.append(cv * _kyfan_row(hi, n))
-        return rows
-    raise UnsupportedSpecError(f"{type(spec).__name__} has no polyhedral rows")
-
-
-def _is_polyhedral(spec: NormSpec) -> bool:
-    return isinstance(
-        spec, (Operator, Trace, KyFan, KyFanZero, Weight, SupOf, TBracket, CSup)
-    )
 
 
 def dual_vec_full(spec: NormSpec, x) -> tuple[float, np.ndarray]:
@@ -192,8 +121,6 @@ def dual_vec_full(spec: NormSpec, x) -> tuple[float, np.ndarray]:
     n = xstar.size
     if isinstance(spec, Lp):
         return _lp_dual(float(spec.p), xstar)
-    if not _is_polyhedral(spec):
-        raise UnsupportedSpecError(f"no dual route for {type(spec).__name__}")
     lp = OrderedConeLP(objective=xstar / n, rows=spec_rows(spec, n))
     return lp.solve()
 
@@ -219,10 +146,7 @@ def _lp_dual(p: float, xstar: np.ndarray) -> tuple[float, np.ndarray]:
         value = xmax * (m / n) ** (1.0 / q)
         y = np.where(ties, (n / m) ** (1.0 - 1.0 / q), 0.0)
         return float(value), y
-    # Rescale by the top entry so the q-mean cannot spuriously under- or
-    # overflow; entries far below the max underflow to an honest zero.
-    ratios = xstar / xmax
-    value = xmax * float(np.mean(ratios**q) ** (1.0 / q))
+    value = power_mean(xstar, q)
     y = (xstar / value) ** (q - 1.0)
     return value, y
 

@@ -1,15 +1,25 @@
 """Norm families on step functions, vectors, and matrices.
 
-Every norm here is a symmetric gauge norm evaluated through the nonincreasing
-rearrangement of its argument, so the vector and matrix routes agree with the
-step-function route by construction: a vector embeds as a step function on the
-uniform partition, a matrix contributes its s-number profile.
+Every norm here is a symmetric gauge norm of the nonincreasing rearrangement
+of its argument. Every kind but ``Lp`` is polyhedral: on the ordered cone
+y_1 >= ... >= y_n >= 0 it is the largest of a few linear functionals r . y,
+the weighted Ky Fan norms of the representation theorem. ``spec_rows``
+builds those functionals for one dimension as a single read-only row matrix,
+exactly against the grid k/n and cached on (spec, n); vectors (sorted
+magnitudes) and matrices (s-numbers) are evaluated through it, and the dual
+LP and vertex enumeration in ``duality`` share it. ``Lp`` has a closed form.
+
+``norm_step`` is the exact reference for general step functions: it works
+through the ``Fraction`` rearrangement and pairing of ``stepfn`` and is not on
+the vector or matrix path. The tests hold the two routes together.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,8 +61,8 @@ class Lp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _as_param(self.p))
-        if not self.p >= 1:
-            raise ValueError(f"Lp needs p >= 1, got {self.p}")
+        if not (self.p >= 1 and math.isfinite(self.p)):
+            raise ValueError(f"Lp needs finite p >= 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,100 @@ class CSup:
 NormSpec = Operator | Trace | Lp | KyFan | KyFanZero | Weight | SupOf | TBracket | CSup
 
 
+class UnsupportedSpecError(ValueError):
+    """The requested computation is not available for this norm kind."""
+
+
+def _kyfan_row(t: Fraction | float, n: int) -> np.ndarray:
+    """Coefficients r with r . y = Ky Fan t-norm of the ordered vector y.
+
+    With t = p/q exactly, the whole cells below t are the first (p*n)//q;
+    each gets q/(n*p) and the cut cell its covered share, both as correctly
+    rounded integer ratios. t = 0 is the operator norm.
+    """
+    r = np.zeros(n)
+    if t == 0:
+        r[0] = 1.0
+        return r
+    tq = as_fraction(t)
+    p, q = tq.numerator, tq.denominator
+    k = (p * n) // q
+    r[:k] = q / (n * p)
+    if k < n:
+        r[k] = (p * n - k * q) / (n * p)
+    return r
+
+
+def _weight_row(w: StepFn, n: int) -> np.ndarray:
+    """Coefficients r with r . y = pairing of w against y on the n-grid.
+
+    r_i is the integral of w over [i/n, (i+1)/n). A piece [a/b, c/d) starts
+    in cell (a*n)//b and ends in cell (c*n)//d; it adds its value times the
+    covered length (an integer ratio) to those two cells and value/n to every
+    cell between them, so the row costs O(n + pieces).
+    """
+    r = np.zeros(n)
+    for lo, hi, v in w.intervals():
+        a, b = lo.numerator, lo.denominator
+        c, d = hi.numerator, hi.denominator
+        i, j = (a * n) // b, (c * n) // d
+        if i == j:
+            r[i] += v * ((c * b - a * d) / (b * d))
+            continue
+        r[i] += v * (((i + 1) * b - a * n) / (b * n))
+        r[i + 1 : j] += v / n
+        if j < n:
+            r[j] += v * ((c * n - j * d) / (d * n))
+    return r
+
+
+@lru_cache(maxsize=256)
+def spec_rows(spec: NormSpec, n: int) -> np.ndarray:
+    """Linear pieces of a polyhedral norm on the ordered cone in R^n.
+
+    On nonincreasing y >= 0 the norm of y is the largest entry of
+    ``spec_rows(spec, n) @ y``. The result is one read-only (rows, n) array,
+    cached on (spec, n) and shared by every caller.
+    """
+    if isinstance(spec, (Operator, KyFanZero)):
+        rows = [_kyfan_row(0, n)]
+    elif isinstance(spec, Trace):
+        rows = [np.full(n, 1.0 / n)]
+    elif isinstance(spec, KyFan):
+        rows = [_kyfan_row(spec.t, n)]
+    elif isinstance(spec, Weight):
+        rows = [_weight_row(spec.f, n)]
+    elif isinstance(spec, SupOf):
+        rows = [_weight_row(w, n) for w in spec.fs]
+    elif isinstance(spec, TBracket):
+        rows = [float(spec.t) * _kyfan_row(0, n), np.full(n, 1.0 / n)]
+    elif isinstance(spec, CSup):
+        rows = []
+        for lo, hi, cv in spec.c.intervals():
+            if cv <= 0.0:
+                continue
+            rows.append(cv * _kyfan_row(lo, n))
+            rows.append(cv * _kyfan_row(hi, n))
+    else:
+        raise UnsupportedSpecError(f"{type(spec).__name__} has no polyhedral rows")
+    R = np.array(rows)
+    R.flags.writeable = False
+    return R
+
+
+def power_mean(x: np.ndarray, p: float, weights=None) -> float:
+    """(mean of x**p)**(1/p) for x >= 0, optionally weighted.
+
+    The entries are divided by the largest one first, so x**p neither
+    overflows on huge entries nor flushes to zero on tiny ones; entries far
+    below the largest underflow to an honest zero.
+    """
+    top = float(np.max(x))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.average((x / top) ** p, weights=weights) ** (1.0 / p))
+
+
 def _kyfan_of_rearranged(g: StepFn, t: Fraction | float) -> float:
     if t == 0:
         return g.values[0]
@@ -145,7 +249,11 @@ def _kyfan_of_rearranged(g: StepFn, t: Fraction | float) -> float:
 
 
 def norm_step(spec: NormSpec, f: StepFn) -> float:
-    """Evaluate the norm on a step function."""
+    """Evaluate the norm on a step function.
+
+    This is the exact reference route: the rearrangement keeps rational
+    level-set masses and the pairings integrate over merged breakpoints.
+    """
     g = rearrange(f.abs())
     return _norm_of_rearranged(spec, g)
 
@@ -156,11 +264,8 @@ def _norm_of_rearranged(spec: NormSpec, g: StepFn) -> float:
     if isinstance(spec, Trace):
         return g.integral()
     if isinstance(spec, Lp):
-        p = float(spec.p)
-        if p == 1.0:
-            return g.integral()
-        total = sum(float(hi - lo) * v**p for lo, hi, v in g.intervals())
-        return total ** (1.0 / p)
+        lengths = [float(hi - lo) for lo, hi, _ in g.intervals()]
+        return power_mean(np.array(g.values), float(spec.p), lengths)
     if isinstance(spec, KyFan):
         return _kyfan_of_rearranged(g, spec.t)
     if isinstance(spec, Weight):
@@ -184,17 +289,26 @@ def _norm_of_rearranged(spec: NormSpec, g: StepFn) -> float:
     raise TypeError(f"unknown norm spec {spec!r}")
 
 
+def _norm_of_ordered(spec: NormSpec, xstar: np.ndarray) -> float:
+    """The norm of a nonincreasing nonnegative vector, through its rows."""
+    if not np.all(np.isfinite(xstar)):
+        raise ValueError("values must be finite")
+    if isinstance(spec, Lp):
+        return power_mean(xstar, float(spec.p))
+    return float(np.max(spec_rows(spec, xstar.size) @ xstar))
+
+
 def norm_vec(spec: NormSpec, x) -> float:
     """Evaluate the norm on a vector under the normalized counting trace."""
     v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     if v.size == 0:
         raise ValueError("empty vector has no norm")
-    return norm_step(spec, StepFn.from_uniform(np.abs(v).tolist()))
+    return _norm_of_ordered(spec, np.sort(np.abs(v))[::-1])
 
 
 def norm_mat(spec: NormSpec, T: np.ndarray) -> float:
-    """Evaluate the norm on a matrix through its s-number profile."""
-    return norm_step(spec, linalg.mu_step(T))
+    """Evaluate the norm on a matrix through its s-numbers."""
+    return _norm_of_ordered(spec, linalg.s_numbers(T))
 
 
 def identity_norm(spec: NormSpec, n: int) -> float:

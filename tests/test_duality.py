@@ -22,6 +22,7 @@ from gaugenorm import (
     dual_vec,
     dual_vec_full,
     norm_vec,
+    partial_integral,
 )
 from gaugenorm.duality import (
     UnsupportedSpecError,
@@ -70,6 +71,52 @@ def test_simplex_solves_a_square_box():
 def test_simplex_reports_unbounded_problems():
     with pytest.raises(RuntimeError):
         simplex_max(np.array([1.0]), np.array([[-1.0]]))
+
+
+def loop_simplex(c, B):
+    """simplex_max written row by row, as the reference for its pivots."""
+    m, d = B.shape
+    tab = np.zeros((m + 1, d + m + 1))
+    tab[:m, :d] = B
+    tab[:m, d : d + m] = np.eye(m)
+    tab[:m, -1] = 1.0
+    tab[m, :d] = -c
+    basis = list(range(d, d + m))
+    while True:
+        enter = next((j for j in range(d + m) if tab[m, j] < -1e-10), -1)
+        if enter < 0:
+            break
+        leave, best = -1, np.inf
+        for i in range(m):
+            if tab[i, enter] > 1e-10:
+                ratio = tab[i, -1] / tab[i, enter]
+                if ratio < best - 1e-15 or (
+                    abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best, leave = ratio, i
+        tab[leave] /= tab[leave, enter]
+        for i in range(m + 1):
+            if i != leave and tab[i, enter] != 0.0:
+                tab[i] -= tab[i, enter] * tab[leave]
+        basis[leave] = enter
+    x = np.zeros(d)
+    for i, b in enumerate(basis):
+        if b < d:
+            x[b] = tab[i, -1]
+    return float(tab[m, -1]), x
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_simplex_matches_the_loop_reference_exactly(seed):
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+    B = np.cumsum(rng.uniform(1e-3, 1.0, size=(m, d)), axis=1)
+    B = np.vstack([B, B[:1]])  # a repeated row makes ratio ties
+    c = np.cumsum(rng.uniform(0.0, 1.0, size=d))
+    value, x = simplex_max(c, B)
+    ref_value, ref_x = loop_simplex(c, B)
+    assert value == ref_value
+    np.testing.assert_array_equal(x, ref_x)
 
 
 def test_lp_dual_closed_forms():
@@ -273,3 +320,106 @@ def test_holder_inequality(seed):
 def test_rows_are_unavailable_for_smooth_specs():
     with pytest.raises(UnsupportedSpecError):
         spec_rows(Lp(2), 3)
+
+
+def head_row(w, n):
+    """The old route: differences of exact partial integrals on the n-grid."""
+
+    def head(t):
+        return 0.0 if t == 0 else partial_integral(w, t)
+
+    return [head(Fraction(i + 1, n)) - head(Fraction(i, n)) for i in range(n)]
+
+
+def kyfan_reference_row(t, n):
+    """Ky Fan t-row cell by cell in Fractions; t = 0 is the operator norm."""
+    if t == 0:
+        return [1.0] + [0.0] * (n - 1)
+    tq = Fraction(t)
+    return [
+        float(max(min(Fraction(i + 1, n), tq) - Fraction(i, n), 0) / tq)
+        for i in range(n)
+    ]
+
+
+def reference_rows(spec, n):
+    if isinstance(spec, Weight):
+        return [head_row(spec.f, n)]
+    if isinstance(spec, SupOf):
+        return [head_row(w, n) for w in spec.fs]
+    if isinstance(spec, KyFan):
+        return [kyfan_reference_row(spec.t, n)]
+    assert isinstance(spec, gn.CSup)
+    return [
+        [cv * r for r in kyfan_reference_row(t, n)]
+        for lo, hi, cv in spec.c.intervals()
+        if cv > 0.0
+        for t in (lo, hi)
+    ]
+
+
+def random_breakpoints(rng, pieces):
+    denom = int(rng.integers(pieces + 1, 200))
+    cuts = rng.choice(np.arange(1, denom), size=pieces - 1, replace=False)
+    return (Fraction(0), *sorted(Fraction(int(c), denom) for c in cuts), Fraction(1))
+
+
+def random_row_spec(rng, kind):
+    def weight():
+        pieces = int(rng.integers(1, 9))
+        vals = np.sort(rng.uniform(0.0, 3.0, size=pieces))[::-1]
+        return StepFn(random_breakpoints(rng, pieces), tuple(vals))
+
+    if kind == "weight":
+        return Weight(weight())
+    if kind == "supof":
+        return SupOf(tuple(weight() for _ in range(int(rng.integers(2, 4)))))
+    if kind == "kyfan":
+        return KyFan(Fraction(int(rng.integers(1, 60)), 60) if rng.uniform() < 0.5
+                     else float(rng.uniform(0.01, 1.0)))
+    pieces = int(rng.integers(1, 6))
+    vals = rng.uniform(0.0, 1.0, size=pieces)
+    vals[rng.integers(pieces)] = 1.0
+    return gn.CSup(StepFn(random_breakpoints(rng, pieces), tuple(vals)))
+
+
+ROW_KINDS = ("weight", "supof", "kyfan", "csup")
+
+
+@pytest.mark.parametrize("seed", range(28))
+def test_spec_rows_match_partial_integral_differences(seed):
+    rng = np.random.default_rng(seed)
+    n = (1, 2, 3, 7, 16, 64, 200)[seed // 4]
+    spec = random_row_spec(rng, ROW_KINDS[seed % 4])
+    rows = spec_rows(spec, n)
+    expected = np.array(reference_rows(spec, n))
+    assert rows.shape == expected.shape
+    # the old route differences head integrals, so each of its entries
+    # carries a few ulp of the row's whole integral
+    atol = 4 * np.finfo(float).eps * expected.sum(axis=1).max()
+    np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=atol)
+    if isinstance(spec, KyFan):
+        np.testing.assert_array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_dual_matches_scipy_linprog(seed):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(100 + seed)
+    n = (1, 2, 5, 16, 33, 64)[seed // 3]
+    spec = random_row_spec(rng, ("weight", "supof", "csup")[seed % 3])
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+    xstar = np.sort(np.abs(x))[::-1]
+    # maximize (1/n) x* . y over rows @ y <= 1 and y_1 >= ... >= y_n >= 0,
+    # with the rows built by the Fraction route, not by spec_rows
+    rows = reference_rows(spec, n)
+    order = np.eye(n, k=1)[: n - 1] - np.eye(n)[: n - 1]
+    result = linprog(
+        -xstar / n,
+        A_ub=np.vstack([rows, order]),
+        b_ub=np.concatenate([np.ones(len(rows)), np.zeros(n - 1)]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status == 0
+    assert dual_vec(spec, x) == pytest.approx(-result.fun, rel=1e-9, abs=1e-12)

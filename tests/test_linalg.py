@@ -13,7 +13,6 @@ from gaugenorm import linalg
 from gaugenorm.linalg import (
     Rng64,
     coordinate_partition,
-    eig_hermitian,
     matrix_from_json,
     matrix_to_json,
     mu_step,
@@ -72,20 +71,40 @@ def test_matrix_json_round_trip():
         matrix_from_json({"entries": []})
 
 
-def test_eig_hermitian_descending_and_rejects_non_hermitian():
-    w, V = eig_hermitian(np.diag([1.0, 3.0, 2.0]))
-    np.testing.assert_allclose(w, [3.0, 2.0, 1.0])
-    np.testing.assert_allclose(
-        V @ np.diag(w) @ V.conj().T, np.diag([1.0, 3.0, 2.0]), atol=1e-12
-    )
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_s_numbers_of_signed_diagonal():
     np.testing.assert_allclose(
         s_numbers(np.diag([-3.0, 1.0])), [3.0, 1.0], atol=1e-12
     )
+
+
+def test_s_numbers_keep_small_values_of_a_diagonal():
+    s = s_numbers(np.diag([1.0, 1e-8, 3e-9]))
+    np.testing.assert_allclose(s, [1.0, 1e-8, 3e-9], rtol=1e-12)
+
+
+def test_s_numbers_of_a_graded_matrix():
+    # A Gram-matrix eigensolve loses every s-number below about 1e-7 * s_1;
+    # a backward-stable SVD keeps each to an absolute 16 n eps s_1.
+    graded = np.array([1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9])
+    r = Rng64(41)
+    U, V = random_unitary(6, r.next_u64()), random_unitary(6, r.next_u64())
+    T = U @ np.diag(graded) @ V.conj().T
+    np.testing.assert_allclose(
+        s_numbers(T), graded, rtol=0, atol=16 * 6 * np.finfo(float).eps
+    )
+
+
+def test_s_numbers_of_huge_entries_stay_finite():
+    T = random_matrix(3, 8)
+    s = s_numbers(1e200 * T)
+    assert np.all(np.isfinite(s)) and np.all(s > 0)
+    np.testing.assert_allclose(s, 1e200 * s_numbers(T), rtol=1e-12)
+
+
+def test_trace_norm_of_tiny_entries_is_positive():
+    T = random_matrix(3, 9)
+    assert trace_norm(1e-170 * T) > 0
+    assert trace_norm(1e-170 * T) == pytest.approx(1e-170 * trace_norm(T), rel=1e-12)
 
 
 @given(seeds, dims)

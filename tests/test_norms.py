@@ -25,7 +25,7 @@ from gaugenorm import (
     norm_step,
     norm_vec,
 )
-from gaugenorm.norms import spec_from_json, spec_to_json
+from gaugenorm.norms import spec_from_json, spec_rows, spec_to_json
 
 vectors = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
@@ -84,6 +84,59 @@ def test_kyfan_value_is_nonincreasing_in_t(x):
     vals = [norm_vec(KyFan(t), x) for t in grid]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-10
+
+
+def test_lp_primal_spans_the_float_range():
+    huge = norm_vec(Lp(3), [1e200, 1e200])
+    assert huge == pytest.approx(1e200, rel=1e-15)
+    assert norm_vec(Lp(3), [1e-120, 1e-120]) == pytest.approx(1e-120, rel=1e-15)
+    steep = norm_vec(Lp(2000), [3.0, 1.0])
+    assert np.isfinite(steep)
+    assert steep == pytest.approx(3.0 * 0.5 ** (1 / 2000), rel=1e-12)
+
+
+def off_grid_step(values):
+    """A step function whose breakpoints 2/7, 1/3, 5/12 miss most k/n grids."""
+    cuts = (Fraction(0), Fraction(2, 7), Fraction(1, 3), Fraction(5, 12), Fraction(1))
+    return StepFn(cuts, values)
+
+
+def polyhedral_battery(n):
+    return [
+        Operator(),
+        KyFanZero(),
+        Trace(),
+        KyFan(Fraction(1, 3)),
+        KyFan(Fraction(2, 7)),
+        KyFan(Fraction(max(1, n // 2), n)),
+        KyFan(1),
+        KyFan(0.3),
+        Weight(off_grid_step((3.0, 2.0, 1.5, 0.25))),
+        SupOf((off_grid_step((2.0, 2.0, 1.0, 1.0)), halves(1.5, 0.5))),
+        TBracket(Fraction(2, 3)),
+        CSup(off_grid_step((0.5, 1.0, 1.0, 0.25))),
+        CSup(StepFn((Fraction(0), Fraction(5, 12), Fraction(1)), (1.0, 0.75))),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 512])
+def test_row_kernel_matches_the_fraction_reference(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    reference = StepFn.from_uniform(np.abs(x).tolist())
+    for spec in polyhedral_battery(n):
+        assert norm_vec(spec, x) == pytest.approx(
+            norm_step(spec, reference), rel=1e-12
+        ), spec
+
+
+def test_spec_rows_are_read_only_and_shared():
+    spec = KyFan(Fraction(1, 3))
+    rows = spec_rows(spec, 5)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 2.0
+    assert spec_rows(KyFan(Fraction(1, 3)), 5) is rows
 
 
 def test_weight_norm_pairs_against_rearrangement():
@@ -204,6 +257,9 @@ def test_parameter_validation():
         KyFan(1.5)
     with pytest.raises(ValueError):
         Lp(0.5)
+    for p in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Lp(p)
 
 
 @given(seeds)
