@@ -22,7 +22,6 @@ double-dual involution and the finite representation check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -78,11 +77,14 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
                     leave = i
         if leave < 0:
             raise RuntimeError("LP is unbounded; the row set is not a norm ball")
-        tab[leave] /= tab[leave, enter]
+        row = tab[leave]
+        row /= row[enter]
+        # One rank-1 update eliminates the pivot column from every other
+        # row. A row with a zero entry there subtracts an exact zero, so this
+        # matches row-by-row elimination and beats selecting the rows first.
         col = tab[:, enter].copy()
         col[leave] = 0.0
-        hit = np.flatnonzero(col)
-        tab[hit] -= np.outer(col[hit], tab[leave])
+        tab -= col[:, None] * row
         basis[leave] = enter
     x = np.zeros(d)
     for i, b in enumerate(basis):
@@ -91,29 +93,13 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     return float(tab[m, -1]), x
 
 
-@dataclass
-class OrderedConeLP:
-    """A pairing maximization over a polyhedral norm ball on the ordered cone.
-
-    ``rows`` holds the linear pieces of the norm, one per row: on the ordered
-    cone the norm of y is max(rows @ y) and the unit ball is {rows @ y <= 1},
-    together with the implicit ordering constraints y_1 >= ... >= y_n >= 0.
-    """
-
-    objective: np.ndarray
-    rows: np.ndarray
-
-    def solve(self) -> tuple[float, np.ndarray]:
-        """Optimal value and an optimal (ordered) y."""
-        B = np.cumsum(self.rows, axis=1)
-        c = np.cumsum(self.objective)
-        value, lam = simplex_max(c, B)
-        y = np.cumsum(lam[::-1])[::-1]
-        return value, y
-
-
 def dual_vec_full(spec: NormSpec, x) -> tuple[float, np.ndarray]:
-    """Dual norm of x and a maximizing ordered witness y."""
+    """Dual norm of x and a maximizing ordered witness y.
+
+    In staircase coordinates y = cumsum of lambda from the right, the rows
+    and the objective become their prefix sums and the ordered cone becomes
+    lambda >= 0, which is the standard form ``simplex_max`` solves.
+    """
     v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     if v.size == 0:
         raise ValueError("empty vector has no norm")
@@ -121,8 +107,9 @@ def dual_vec_full(spec: NormSpec, x) -> tuple[float, np.ndarray]:
     n = xstar.size
     if isinstance(spec, Lp):
         return _lp_dual(float(spec.p), xstar)
-    lp = OrderedConeLP(objective=xstar / n, rows=spec_rows(spec, n))
-    return lp.solve()
+    B = np.cumsum(spec_rows(spec, n), axis=1)
+    value, lam = simplex_max(np.cumsum(xstar / n), B)
+    return value, np.cumsum(lam[::-1])[::-1]
 
 
 _CONJUGATE_EXPONENT_CAP = 1e6

@@ -90,8 +90,9 @@ def loop_simplex(c, B):
         for i in range(m):
             if tab[i, enter] > 1e-10:
                 ratio = tab[i, -1] / tab[i, enter]
+                tie = abs(ratio - best) <= 1e-15
                 if ratio < best - 1e-15 or (
-                    abs(ratio - best) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])
+                    tie and (leave < 0 or basis[i] < basis[leave])
                 ):
                     best, leave = ratio, i
         tab[leave] /= tab[leave, enter]
