@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 #: absolute tolerance for comparing interval values
@@ -64,6 +65,15 @@ class StepFn:
             raise ValueError("breakpoints must be strictly increasing")
         if any(not math.isfinite(v) for v in vals):
             raise ValueError("values must be finite")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.breakpoints, self.values))
+
+    def __hash__(self) -> int:
+        # Specs holding step functions key the cached row matrices, and
+        # hashing Fractions is slow, so the hash is computed once.
+        return self._hash
 
     @classmethod
     def from_uniform(cls, values: Sequence[float]) -> "StepFn":
