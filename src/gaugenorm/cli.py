@@ -70,7 +70,7 @@ def _load_operand(path: str):
         if "breakpoints" in obj:
             return StepFn.from_json(obj)
         raise ValueError("expected 'entries', 'x', or 'breakpoints'")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliFailure(PARSE, f"{path}: {exc}") from exc
 
 
@@ -114,34 +114,23 @@ def cmd_norm(args) -> int:
     if args.operand is None:
         raise CliFailure(PARSE, "an operand file is required without --profile")
     operand = _load_operand(args.operand)
-    try:
-        if args.dual:
-            if isinstance(operand, StepFn):
-                raise CliFailure(
-                    PARSE, "--dual expects a vector or matrix operand"
-                )
-            if isinstance(operand, np.ndarray) and operand.ndim == 2:
-                primal = norms.norm_mat(spec, operand)
-                value, witness = duality.dual_vec_full(
-                    spec, linalg.s_numbers(operand)
-                )
-            else:
-                primal = norms.norm_vec(spec, operand)
-                value, witness = duality.dual_vec_full(spec, operand)
-            _emit({"primal": primal, "dual": value, "witness": witness.tolist()})
-            return 0
+    if args.dual:
         if isinstance(operand, StepFn):
-            value = norms.norm_step(spec, operand)
-        elif operand.ndim == 2:
-            value = norms.norm_mat(spec, operand)
+            raise CliFailure(PARSE, "--dual expects a vector or matrix operand")
+        if operand.ndim == 2:
+            primal = norms.norm_mat(spec, operand)
+            value, witness = duality.dual_vec_full(spec, linalg.s_numbers(operand))
         else:
-            value = norms.norm_vec(spec, operand)
-    except duality.UnsupportedSpecError as exc:
-        raise CliFailure(UNSUPPORTED_DUAL, str(exc)) from exc
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise CliFailure(NUMERICAL, str(exc)) from exc
-    except ValueError as exc:
-        raise CliFailure(PARSE, str(exc)) from exc
+            primal = norms.norm_vec(spec, operand)
+            value, witness = duality.dual_vec_full(spec, operand)
+        _emit({"primal": primal, "dual": value, "witness": witness.tolist()})
+        return 0
+    if isinstance(operand, StepFn):
+        value = norms.norm_step(spec, operand)
+    elif operand.ndim == 2:
+        value = norms.norm_mat(spec, operand)
+    else:
+        value = norms.norm_vec(spec, operand)
     _emit({"norm": value})
     return 0
 
@@ -179,7 +168,7 @@ def cmd_lpcheck(args) -> int:
     grid = np.linspace(0.0, 1.0, args.grid)
     try:
         err = extreme2.lp_density_check(args.p, grid)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise CliFailure(NUMERICAL, str(exc)) from exc
     ok = err <= 1e-6
     _emit({"p": args.p, "grid_points": args.grid, "max_error": err, "ok": ok})
@@ -450,22 +439,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Checked in order, so a subclass comes before its base: UnsupportedSpecError
+# and numpy's LinAlgError are both ValueErrors.
+EXIT_CODES = (
+    (duality.UnsupportedSpecError, UNSUPPORTED_DUAL),
+    (RuntimeError, NUMERICAL),
+    (np.linalg.LinAlgError, NUMERICAL),
+    (ArithmeticError, NUMERICAL),
+    (ValueError, PARSE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliFailure as exc:
+    except (CliFailure, *(kind for kind, _ in EXIT_CODES)) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except duality.UnsupportedSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return UNSUPPORTED_DUAL
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERICAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE
+        if isinstance(exc, CliFailure):
+            return exc.code
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

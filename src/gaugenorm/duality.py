@@ -15,8 +15,10 @@ basis, solved by a dense simplex with Bland's rule.
 The rows come from ``norms.spec_rows``, the cached row matrix that also
 evaluates the primal norm; ``spec_rows`` and ``UnsupportedSpecError`` are
 re-exported here. The same rows drive vertex enumeration of norm balls
-(incremental double description on the homogenized cone), which powers the
-double-dual involution and the finite representation check.
+(incremental double description on the homogenized cone). The dual ball is
+itself polyhedral: its rows are the primal ball's nonzero vertices over n.
+The double-dual involution runs the same LP on those rows, and the finite
+representation check enumerates their vertices.
 """
 
 from __future__ import annotations
@@ -94,21 +96,24 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def dual_vec_full(spec: NormSpec, x) -> tuple[float, np.ndarray]:
-    """Dual norm of x and a maximizing ordered witness y.
+    """Dual norm of x and a maximizing ordered witness y."""
+    v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    if v.size == 0:
+        raise ValueError("empty vector has no norm")
+    xstar = np.sort(np.abs(v))[::-1]
+    if isinstance(spec, Lp):
+        return _lp_dual(float(spec.p), xstar)
+    return _rows_dual(spec_rows(spec, xstar.size), xstar)
+
+
+def _rows_dual(R: np.ndarray, xstar: np.ndarray) -> tuple[float, np.ndarray]:
+    """The LP dual of the norm max(R @ y) at the ordered xstar, with witness.
 
     In staircase coordinates y = cumsum of lambda from the right, the rows
     and the objective become their prefix sums and the ordered cone becomes
     lambda >= 0, which is the standard form ``simplex_max`` solves.
     """
-    v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    if v.size == 0:
-        raise ValueError("empty vector has no norm")
-    xstar = np.sort(np.abs(v))[::-1]
-    n = xstar.size
-    if isinstance(spec, Lp):
-        return _lp_dual(float(spec.p), xstar)
-    B = np.cumsum(spec_rows(spec, n), axis=1)
-    value, lam = simplex_max(np.cumsum(xstar / n), B)
+    value, lam = simplex_max(np.cumsum(xstar / xstar.size), np.cumsum(R, axis=1))
     return value, np.cumsum(lam[::-1])[::-1]
 
 
@@ -252,33 +257,35 @@ def primal_vertices(spec: NormSpec, n: int) -> list[np.ndarray]:
     return [v.copy() for v in _primal_vertices_cached(spec, n)]
 
 
-def dual_spec(spec: NormSpec, n: int) -> SupOf:
-    """The dual norm re-expressed as a supremum of weight norms.
+def _dual_rows(spec: NormSpec, n: int) -> np.ndarray:
+    """The nonzero vertices of spec's unit ball, clipped at 0, one per row.
 
     The dual of a polyhedral gauge norm at y is the maximum of (1/n) v . y*
-    over the primal ball's ordered vertices v; each nonzero vertex therefore
-    becomes a step weight of the dual's SupOf form.
+    over the primal ball's ordered vertices v, so these rows over n are the
+    dual's row matrix.
     """
-    weights = []
-    for v in primal_vertices(spec, n):
-        if np.max(v) <= 1e-12:
-            continue
-        clean = np.maximum(np.sort(v)[::-1], 0.0)
-        weights.append(StepFn.from_uniform(clean.tolist()))
-    if not weights:
+    V = np.maximum(np.array(_primal_vertices_cached(spec, n)), 0.0)
+    V = V[np.max(V, axis=1) > 1e-12]
+    if not V.size:
         raise RuntimeError("norm ball has no nonzero vertices")
-    return SupOf(tuple(weights))
+    return V
+
+
+def dual_spec(spec: NormSpec, n: int) -> SupOf:
+    """The dual norm as a SupOf: one step weight per nonzero ball vertex."""
+    return SupOf(tuple(StepFn.from_uniform(v.tolist()) for v in _dual_rows(spec, n)))
 
 
 def involution_check(spec: NormSpec, x) -> tuple[float, float]:
     """The norm of x and its double dual, which the duality involution equates.
 
-    The dual ball's polyhedral description comes from the primal ball's
-    vertices, so the double dual is computed by the same LP machinery.
+    The dual ball's rows come from the primal ball's vertices, so the double
+    dual is the same LP over those rows.
     """
     v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     primal = norm_vec(spec, v)
-    double_dual = dual_vec(dual_spec(spec, v.size), v)
+    xstar = np.sort(np.abs(v))[::-1]
+    double_dual, _ = _rows_dual(_dual_rows(spec, v.size) / v.size, xstar)
     return primal, double_dual
 
 
@@ -293,8 +300,7 @@ def representation_check(spec: SupOf, T: np.ndarray) -> tuple[float, float]:
         raise UnsupportedSpecError("representation check expects a SupOf spec")
     n = T.shape[0]
     lhs = norm_mat(spec, T)
-    dual_rows = [v / n for v in primal_vertices(spec, n) if np.max(v) > 1e-12]
-    dual_verts = ball_vertices(dual_rows, n)
+    dual_verts = ball_vertices(_dual_rows(spec, n) / n, n)
     s = linalg.s_numbers(T)
     rhs = max(float(w @ s) / n for w in dual_verts)
     return lhs, rhs

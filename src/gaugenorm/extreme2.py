@@ -7,17 +7,21 @@ and every piecewise-linear admissible profile is a unique finite convex
 combination of them; ``decompose`` and ``reconstruct`` realize the two
 directions, and ``lp_density_check`` verifies the integral form of the same
 decomposition for the Lp family.
+
+``profile_of`` gives a polyhedral spec's profile exactly, as the upper
+envelope of its rows on M2; only Lp profiles are a closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .linalg import Rng64
-from .norms import KyFanZero, Lp, NormSpec, Operator, TBracket, Trace, norm_vec
+from .norms import Lp, NormSpec, TBracket, spec_rows
 from .stepfn import as_fraction
 
 ADMISSIBLE_TOL = 1e-12
@@ -123,28 +127,34 @@ class AtomicMeasure:
         return cls(atoms)
 
 
-def profile_of(spec: NormSpec, samples: int = 257) -> Profile:
+def profile_of(spec: NormSpec) -> Profile:
     """The profile s -> |||diag(1, s)||| of a norm spec on M2.
 
-    Bracket norms, the operator norm, and the trace norm have exact
-    piecewise-linear profiles and are returned symbolically; Lp specs return
-    the closed form; everything else is sampled on a Chebyshev-spaced grid.
+    Lp specs return the closed form. Every other spec is polyhedral, so its
+    profile is the upper envelope of the lines r0 + r1 s, one per row of
+    ``spec_rows(spec, 2)``: exact, with knots only where the envelope bends.
     """
-    if isinstance(spec, (Operator, KyFanZero)):
-        return Profile.piecewise_linear((0.0, 1.0), (1.0, 1.0))
-    if isinstance(spec, Trace):
-        return Profile.piecewise_linear((0.0, 1.0), (0.5, 1.0))
-    if isinstance(spec, TBracket):
-        t = float(spec.t)
-        if t in (0.5, 1.0):
-            return Profile.piecewise_linear((0.0, 1.0), (t, 1.0))
-        return Profile.piecewise_linear((0.0, 2 * t - 1, 1.0), (t, t, 1.0))
     if isinstance(spec, Lp):
         return Profile.lp(float(spec.p))
-    grid = [(1.0 - math.cos(math.pi * k / (samples - 1))) / 2.0 for k in range(samples)]
-    grid[0], grid[-1] = 0.0, 1.0
-    vals = [norm_vec(spec, np.array([1.0, s])) for s in grid]
-    return Profile.piecewise_linear(grid, vals)
+    R = spec_rows(spec, 2)
+    knots = {0.0, 1.0}
+    for (a0, a1), (b0, b1) in combinations(R.tolist(), 2):
+        if a1 != b1 and 0.0 < (b0 - a0) / (a1 - b1) < 1.0:
+            knots.add((b0 - a0) / (a1 - b1))
+    ks = sorted(knots)
+    vals = np.max(R @ np.array([np.ones(len(ks)), ks]), axis=0).tolist()
+    # Between two candidate knots the envelope is one line. Rows that meet
+    # within roundoff (two c = 1 Ky Fan cuts of a CSup both pass through
+    # (1, 1)) cross at a knot that bends nothing and would leave a segment
+    # too short for its slope to mean anything, so a knot stays only where
+    # the envelope lies clearly below the chord of its neighbours.
+    kept_k, kept_v = [0.0], [vals[0]]
+    for i in range(1, len(ks) - 1):
+        w = (ks[i] - kept_k[-1]) / (ks[i + 1] - kept_k[-1])
+        if (1.0 - w) * kept_v[-1] + w * vals[i + 1] - vals[i] > ADMISSIBLE_TOL:
+            kept_k.append(ks[i])
+            kept_v.append(vals[i])
+    return Profile.piecewise_linear(kept_k + [1.0], kept_v + [vals[-1]])
 
 
 def _slope_tols(p: Profile) -> list[float]:
@@ -193,25 +203,7 @@ def check_admissible(p: Profile) -> bool:
     nondecreasing f) are both evaluated; admissibility requires the
     conjunction, so disagreement inside tolerance fails closed.
     """
-    if p.kind == "lp":
-        return True
-    slopes = p.slopes()
-    tols = _slope_tols(p)
-    monotone_convex = not any(
-        s < -tol for s, tol in zip(slopes, tols)
-    ) and not any(
-        b < a - (ta + tb)
-        for a, b, ta, tb in zip(slopes, slopes[1:], tols, tols[1:])
-    )
-    endpoint = (
-        abs(p.values[-1] - 1.0) <= ADMISSIBLE_TOL
-        and slopes[-1] <= 0.5 + tols[-1]
-    )
-    sandwich = all(
-        (1.0 + k) / 2.0 - ADMISSIBLE_TOL <= v <= 1.0 + ADMISSIBLE_TOL
-        for k, v in zip(p.knots, p.values)
-    )
-    return monotone_convex and endpoint and sandwich
+    return not admissibility_violations(p)
 
 
 def decompose(p: Profile) -> AtomicMeasure:

@@ -16,7 +16,7 @@ the vector or matrix path. The tests hold the two routes together.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,6 +30,7 @@ from .stepfn import (
     StepFn,
     WeightFn,
     as_fraction,
+    check_weight_values,
     pairing,
     partial_integral,
     rearrange,
@@ -61,7 +62,8 @@ class Lp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _as_param(self.p))
-        if not (self.p >= 1 and math.isfinite(self.p)):
+        # Compared exactly, so a Fraction past the float range cannot overflow.
+        if not 1 <= self.p <= sys.float_info.max:
             raise ValueError(f"Lp needs finite p >= 1, got {self.p}")
 
 
@@ -95,11 +97,7 @@ class Weight:
     def __post_init__(self) -> None:
         f = self.f.inner if isinstance(self.f, WeightFn) else self.f
         object.__setattr__(self, "f", f)
-        vals = f.values
-        if any(v < -VALUE_TOL for v in vals):
-            raise ValueError("weight values must be nonnegative")
-        if any(nxt > cur + VALUE_TOL for cur, nxt in zip(vals, vals[1:])):
-            raise ValueError("weight values must be nonincreasing")
+        check_weight_values(f.values)
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,17 @@ class StepFn:
         try:
             bps = tuple(as_fraction(b) for b in obj["breakpoints"])
             vals = tuple(float(v) for v in obj["values"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed step function object: {exc}") from exc
         return cls(bps, vals)
+
+
+def check_weight_values(vals: Sequence[float]) -> None:
+    """Reject step values that are negative or increase, beyond VALUE_TOL."""
+    if any(v < -VALUE_TOL for v in vals):
+        raise ValueError("weight values must be nonnegative")
+    if any(nxt > cur + VALUE_TOL for cur, nxt in zip(vals, vals[1:])):
+        raise ValueError("weight values must be nonincreasing")
 
 
 @dataclass(frozen=True)
@@ -155,11 +163,7 @@ class WeightFn:
     inner: StepFn
 
     def __post_init__(self) -> None:
-        vals = self.inner.values
-        if any(v < -VALUE_TOL for v in vals):
-            raise ValueError("weight values must be nonnegative")
-        if any(nxt > cur + VALUE_TOL for cur, nxt in zip(vals, vals[1:])):
-            raise ValueError("weight values must be nonincreasing")
+        check_weight_values(self.inner.values)
         if self.inner.integral() > 1.0 + VALUE_TOL:
             raise ValueError("weight mean exceeds 1")
 

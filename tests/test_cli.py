@@ -52,6 +52,35 @@ def test_zero_denominator_rational_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "spec, operand",
+    [
+        ({"kind": "lp", "p": "1e400"}, {"x": [1.0, 2.0]}),
+        ({"kind": "trace"}, {"x": ["1e400", 1.0]}),
+        ({"kind": "trace"}, {"n": 1, "entries": [[[10**400, 0]]]}),
+        ({"kind": "trace"}, {"breakpoints": [0, 1], "values": [10**400]}),
+    ],
+    ids=["lp-p", "vector-entry", "matrix-entry", "step-value"],
+)
+def test_inputs_past_the_float_range_exit_2(tmp_path, capsys, spec, operand):
+    spec = write(tmp_path / "s.json", spec)
+    operand = write(tmp_path / "x.json", operand)
+    assert cli.main(["norm", spec, operand]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_arithmetic_errors_exit_3(tmp_path, capsys, monkeypatch):
+    # Returning at all means main caught it: no traceback, and not exit 1,
+    # which means "dominance false".
+    def divide_by_zero(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "cmd_snumbers", divide_by_zero)
+    mat = write(tmp_path / "m.json", diag_json(1, 1))
+    assert cli.main(["snumbers", mat]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_norm_kyfan_example(tmp_path, capsys):
     spec = write(tmp_path / "s.json", {"kind": "kyfan", "t": "2/3"})
     mat = write(tmp_path / "m.json", diag_json(3, 2, 1))

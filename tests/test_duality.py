@@ -262,6 +262,18 @@ def test_dual_spec_of_kyfan_matches_bracket_form():
         assert norm_vec(spec, x) == pytest.approx(closed, abs=1e-10)
 
 
+@given(vectors, seeds)
+@settings(max_examples=40, deadline=None)
+def test_dual_spec_agrees_with_the_rows_route(x, seed):
+    # involution_check takes the double dual over the vertex rows directly;
+    # dual_spec rebuilds the same dual as step weights.
+    spec = polyhedral_specs(len(x), seed)[seed % 8]
+    _, double = involution_check(spec, x)
+    assert dual_vec(dual_spec(spec, len(x)), x) == pytest.approx(
+        double, rel=1e-10, abs=1e-12
+    )
+
+
 def test_involution_oracle_on_a_basis_vector():
     primal, double = involution_check(KyFan(Fraction(1, 2)), [1.0, 0.0])
     assert primal == pytest.approx(1.0)

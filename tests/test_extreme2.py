@@ -10,7 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugenorm as gn
-from gaugenorm import KyFan, Lp, Operator, TBracket, Trace
+from gaugenorm import (
+    CSup,
+    KyFan,
+    Lp,
+    Operator,
+    StepFn,
+    SupOf,
+    TBracket,
+    Trace,
+    Weight,
+    norm_vec,
+)
 from gaugenorm.extreme2 import (
     AtomicMeasure,
     Profile,
@@ -59,6 +70,59 @@ def test_sampled_profiles_match_known_closed_forms():
     for s in np.linspace(0.0, 1.0, 17):
         assert top(float(s)) == pytest.approx(1.0, abs=1e-12)
         assert full(float(s)) == pytest.approx((1.0 + s) / 2.0, abs=1e-12)
+
+
+def random_polyhedral_spec(seed):
+    """A normalized SupOf, CSup, Weight, KyFan or TBracket spec."""
+    rng = gn.Rng64(seed)
+    kind = seed % 5
+    pieces = 1 + rng.next_u64() % 6
+    if kind == 0:
+        count = 1 + rng.next_u64() % 4
+        return SupOf(gn.norms.random_supof_fns(pieces, rng, count, normalized=True))
+    if kind == 1:
+        cuts = sorted({Fraction(rng.next_u64() % 97 + 1, 98) for _ in range(pieces)})
+        values = [rng.uniform() for _ in range(len(cuts) + 1)]
+        values[rng.next_u64() % len(values)] = 1.0
+        return CSup(StepFn((Fraction(0), *cuts, Fraction(1)), tuple(values)))
+    if kind == 2:
+        return Weight(gn.norms.random_weight_fn(pieces, rng, normalized=True))
+    if kind == 3:
+        t = Fraction(rng.next_u64() % 64 + 1, 64) if seed % 2 else rng.uniform()
+        return KyFan(t)
+    return TBracket(0.5 + 0.5 * rng.uniform())
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_profile_is_the_norm_of_diag_one_s(seed):
+    spec = random_polyhedral_spec(seed)
+    prof = profile_of(spec)
+    for s in np.linspace(0.0, 1.0, 513):
+        want = norm_vec(spec, np.array([1.0, s]))
+        assert prof(float(s)) == pytest.approx(want, abs=1e-12)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_profiles_of_normalized_specs_round_trip(seed):
+    prof = profile_of(random_polyhedral_spec(seed))
+    back = reconstruct(decompose(prof))
+    for k, v in zip(prof.knots, prof.values):
+        assert back(k) == pytest.approx(v, abs=1e-10)
+
+
+def test_csup_with_two_full_cuts_decomposes():
+    # Every Ky Fan row on M2 sums to 1, so the two c = 1 rows (t = 7/12 and
+    # t = 1) both pass through (1, 1). In floating point they cross at
+    # 1 - 1e-16, a knot where the envelope does not bend. Kept, its segment's
+    # noisy slope made the atom weights sum to 1.29.
+    spec = CSup(StepFn((Fraction(0), Fraction(7, 12), Fraction(1)), (0.0, 1.0)))
+    prof = profile_of(spec)
+    assert prof.knots == (0.0, 1.0)
+    mu = decompose(prof)
+    assert [t for t, _ in mu.atoms] == [0.5, 1.0]
+    assert [w for _, w in mu.atoms] == pytest.approx([2 / 7, 5 / 7], abs=1e-12)
 
 
 @given(seeds)

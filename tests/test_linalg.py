@@ -69,6 +69,9 @@ def test_matrix_json_round_trip():
         matrix_from_json({"n": 2, "entries": [[[1, 0]]]})
     with pytest.raises(ValueError):
         matrix_from_json({"entries": []})
+    for entries in ([[["1", 0]]], [[[10**400, 0]]], [[[1, 0, 0]]], [[[1]]], [[None]]):
+        with pytest.raises(ValueError):
+            matrix_from_json({"n": 1, "entries": entries})
 
 
 def test_s_numbers_of_signed_diagonal():
