@@ -163,8 +163,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_lpcheck(args) -> int:
-    if not args.p > 1:
-        raise CliFailure(PARSE, f"lpcheck needs p > 1, got {args.p}")
+    if not 1 < args.p < np.inf:
+        raise CliFailure(PARSE, f"lpcheck needs a finite p > 1, got {args.p}")
+    if args.grid < 1:
+        raise CliFailure(PARSE, f"lpcheck needs --grid >= 1, got {args.grid}")
     grid = np.linspace(0.0, 1.0, args.grid)
     try:
         err = extreme2.lp_density_check(args.p, grid)

@@ -293,70 +293,61 @@ def _fp_prime(p: float, s: float) -> float:
     return (s ** (p - 1.0) / 2.0) * ((1.0 + s**p) / 2.0) ** (1.0 / p - 1.0)
 
 
-def _fp_second(p: float, x: float) -> float:
+def _fp_second(p: float, x: np.ndarray) -> np.ndarray:
     """Second derivative of the Lp profile; integrable blowup at 0 for p < 2."""
-    return (
-        (p - 1.0)
-        / 2.0
-        * x ** (p - 2.0)
-        * ((1.0 + x**p) / 2.0) ** ((1.0 - p) / p)
-        / (1.0 + x**p)
-    )
+    return (p - 1.0) / 4.0 * x ** (p - 2.0) * ((1.0 + x**p) / 2.0) ** (1.0 / p - 2.0)
 
 
-def _adaptive_simpson(f, a, b, tol, depth=60):
-    fa, fm, fb = f(a), f((a + b) / 2), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth)
+# One tanh-sinh rule on (0, 1) (Takahasi & Mori 1974): nodes
+# u = 1 / (1 + e^(-z)), z = pi sinh(y), at y = k/32 for |y| <= 6, with weights
+# du/dy / 32 = pi cosh(y) u (1 - u) / 32, where pi cosh(y) = hypot(pi, z). The
+# nodes that round to u = 1 carry weights below 1e-15 and are dropped; k = -192
+# stays at index 0, so every second node, with twice its weight, is the rule at
+# the next coarser level.
+_TS_Z = math.pi * np.sinh(np.arange(-192, 193) / 32.0)
+_TS_U = 1.0 / (1.0 + np.exp(-_TS_Z))
+_TS_W = np.hypot(math.pi, _TS_Z) / 32.0 * _TS_U / (1.0 + np.exp(_TS_Z))
+_TS_U, _TS_W = _TS_U[_TS_U < 1.0], _TS_W[_TS_U < 1.0]
+_LP_HEAD = 1e-10
 
 
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = (a + b) / 2.0
-    lm, rm = (a + m) / 2.0, (m + b) / 2.0
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _simpson_step(
-        f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1
-    ) + _simpson_step(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+def _lp_integral(p: float, s: float, u: np.ndarray, w: np.ndarray) -> float:
+    """The integral of max(t, (1+s)/2) 4 f_p''(2t-1) over t in [1/2, 1].
+
+    In x = 2t - 1 the integrand is max(1+x, 1+s) f_p''(x). On the head
+    [0, delta] the factor is 1+s and f_p'(0) = 0, so the head is exactly
+    (1+s) f_p'(delta). The rule (u, w) covers [delta, max(s, delta)] and
+    [max(s, delta), 1], split at the kink; its nodes crowd double
+    exponentially toward each end, which absorbs the x^(p-2) blowup at delta.
+    """
+    k = max(s, _LP_HEAD)
+    x = _LP_HEAD + (k - _LP_HEAD) * u
+    left = (1.0 + s) * (k - _LP_HEAD) * (_fp_second(p, x) @ w)
+    x = k + (1.0 - k) * u
+    right = (1.0 - k) * (((1.0 + x) * _fp_second(p, x)) @ w)
+    return (1.0 + s) * _fp_prime(p, _LP_HEAD) + left + right
 
 
 def lp_density_check(p: float, s_grid=None) -> float:
     """Max error of the extreme-point integral form of the Lp profile.
 
-    Integrates max(t, (1+s)/2) * 4 f_p''(2t-1) over t in [1/2, 1] by adaptive
-    Simpson, splitting at the kink t = (1+s)/2, and compares against the
-    closed form f_p(s). The integrable endpoint blowup of f_p'' at t=1/2
-    (present for 1 < p < 2) is peeled off analytically: on the first delta of
-    the substituted x-coordinate the factor max(x, s) is constant, so that
-    head integrates exactly to (1+s) f_p'(delta).
+    For each s in the grid (11 points on [0, 1] by default), integrates
+    max(t, (1+s)/2) * 4 f_p''(2t-1) over t in [1/2, 1] with one fixed
+    tanh-sinh rule split at the kink t = (1+s)/2, the endpoint blowup of
+    f_p'' at t = 1/2 (for 1 < p < 2) peeled off in closed form; see
+    ``_lp_integral``. Integration by parts makes the integral equal f_p(s)
+    exactly, so the returned float, the max over s of the distance to f_p(s),
+    is the quadrature error.
     """
     if not p > 1:
         raise ValueError(f"density check needs p > 1, got {p}")
+    p = float(p)
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 11)
-    delta = 1e-10
-    t0 = (1.0 + delta) / 2.0
-
-    def integrand(s):
-        return lambda t: max(t, (1.0 + s) / 2.0) * 4.0 * _fp_second(p, 2.0 * t - 1.0)
-
-    worst = 0.0
-    for s in s_grid:
-        s = float(s)
-        total = (1.0 + s) * _fp_prime(p, delta)
-        kink = (1.0 + s) / 2.0
-        g = integrand(s)
-        if t0 < kink < 1.0:
-            total += _adaptive_simpson(g, t0, kink, 5e-10)
-            total += _adaptive_simpson(g, kink, 1.0, 5e-10)
-        else:
-            total += _adaptive_simpson(g, t0, 1.0, 1e-9)
-        worst = max(worst, abs(total - _fp(p, s)))
-    return worst
+    errors = [
+        abs(_lp_integral(p, s, _TS_U, _TS_W) - _fp(p, s)) for s in map(float, s_grid)
+    ]
+    return float(np.max(errors, initial=0.0))
 
 
 def not_convex_combination(t: float, trials: int = 100, seed: int = 0) -> dict:
@@ -401,12 +392,13 @@ def not_convex_combination(t: float, trials: int = 100, seed: int = 0) -> dict:
 
 
 def profile_csv(p: Profile, points: int = 101) -> str:
-    """CSV sampling of a profile with 6 significant digits."""
-    lines = ["s,f"]
-    if p.kind == "pl":
-        xs = sorted(set(p.knots) | set(np.linspace(0.0, 1.0, points)))
-    else:
-        xs = np.linspace(0.0, 1.0, points)
-    for s in xs:
-        lines.append(f"{s:.6g},{p(float(s)):.6g}")
-    return "\n".join(lines) + "\n"
+    """CSV sampling of a profile with 6 significant digits.
+
+    The rows are the knots and a uniform grid; a grid point that prints the
+    same as a knot is dropped, so no two rows share an s string.
+    """
+    rows: dict[str, float] = {}
+    for s in [*p.knots, *np.linspace(0.0, 1.0, points).tolist()]:
+        rows.setdefault(f"{s:.6g}", s)
+    lines = [f"{k},{p(s):.6g}" for k, s in sorted(rows.items(), key=lambda r: r[1])]
+    return "\n".join(["s,f", *lines]) + "\n"

@@ -85,7 +85,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     # Unpacking rejects pairs of any length but 2, complex() non-numbers.
     # numpy's own parse of the nested lists measured slower than this.
     try:
-        n = int(obj["n"])
+        n = obj["n"]
+        if isinstance(n, bool) or int(n) != n:
+            raise ValueError(f"size n={n!r} is not an integer")
         rows = obj["entries"]
         A = np.array(
             [[complex(re, im) for re, im in row] for row in rows],

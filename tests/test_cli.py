@@ -42,6 +42,8 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     bad.write_text("{oops")
     assert cli.main(["snumbers", str(bad)]) == 2
     assert cli.main(["snumbers", str(tmp_path / "missing.json")]) == 2
+    fractional = write(tmp_path / "m.json", {"n": 1.7, "entries": [[[2, 0]]]})
+    assert cli.main(["snumbers", fractional]) == 2
     capsys.readouterr()
 
 
@@ -178,6 +180,17 @@ def test_lpcheck_reports_small_error(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["max_error"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "p, grid", [("2.0", "0"), ("2.0", "-3"), ("1.0", "11"), ("inf", "11"), ("nan", "11")]
+)
+def test_lpcheck_rejects_bad_arguments(capsys, p, grid):
+    # An empty grid checks nothing, so it must not report "ok": true.
+    assert cli.main(["lpcheck", "--p", p, "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_proptest_axioms_passes_and_is_deterministic(capsys):

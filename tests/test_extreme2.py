@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaugenorm as gn
+from gaugenorm import extreme2 as ex2
 from gaugenorm import (
     CSup,
     KyFan,
@@ -245,6 +246,61 @@ def test_lp_density_identity_small_p():
     assert lp_density_check(2.0) <= 1e-6
     with pytest.raises(ValueError):
         lp_density_check(1.0)
+
+
+LP_SWEEP = (1.001, 1.01, 1.05, 1.2, 1.5, 1.9, 2.0, 2.5, 3.0, 10.0, 50.0, 1000.0)
+
+
+@pytest.mark.parametrize("p", LP_SWEEP)
+def test_lp_density_identity_across_p(p):
+    err = lp_density_check(p)
+    assert type(err) is float
+    assert err <= 1e-10
+
+
+def test_lp_density_identity_at_huge_p():
+    assert lp_density_check(1e6) <= 1e-6
+
+
+@pytest.mark.parametrize("p", (1.01, 1.5, 3.0, 10.0))
+@pytest.mark.parametrize("s", (0.0, 0.3, 0.5, 1.0))
+def test_lp_integral_matches_scipy_quad(p, s):
+    # In x = 2t - 1 the integrand is max(1+x, 1+s) f_p''(x)
+    # = ((1+x) + max(s-x, 0)) f_p''(x), and f_p''(x) is x^(p-2) times a
+    # smooth factor, which quad's algebraic weight takes exactly. The oracle
+    # never uses the closed form f_p(s).
+    quad = pytest.importorskip("scipy.integrate").quad
+
+    def smooth(x):
+        return (p - 1) / 4 * ((1 + x**p) / 2) ** (1 / p - 2)
+
+    kw = dict(weight="alg", wvar=(p - 2, 0), epsabs=1e-13, epsrel=1e-13, limit=200)
+    want = quad(lambda x: (1 + x) * smooth(x), 0.0, 1.0, **kw)[0]
+    if s > 0:
+        want += quad(lambda x: (s - x) * smooth(x), 0.0, s, **kw)[0]
+    got = ex2._lp_integral(p, s, ex2._TS_U, ex2._TS_W)
+    assert got == pytest.approx(want, rel=0, abs=1e-11)
+
+
+@pytest.mark.parametrize("p", LP_SWEEP)
+def test_lp_rule_level_has_converged(p):
+    # Tanh-sinh levels nest: every second node with twice its weight is the
+    # rule at step 2h. The two levels agree, so the level is not tuned to
+    # the grid.
+    u, w = ex2._TS_U, ex2._TS_W
+    for s in np.linspace(0.0, 1.0, 11):
+        fine = ex2._lp_integral(p, s, u, w)
+        coarse = ex2._lp_integral(p, s, u[::2], 2.0 * w[::2])
+        assert abs(fine - coarse) <= 1e-6
+
+
+def test_profile_csv_rows_have_distinct_s():
+    specs = (TBracket(0.65), TBracket(0.75), Lp(3), KyFan(Fraction(1, 3)), Trace())
+    for spec in specs:
+        s_col = [line.split(",")[0] for line in profile_csv(profile_of(spec)).split()]
+        assert len(s_col) == len(set(s_col))
+    lines = profile_csv(profile_of(TBracket(0.65))).split()
+    assert lines.count("0.3,0.65") == 1
 
 
 def test_lp_profile_spot_value():

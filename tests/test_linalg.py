@@ -72,6 +72,10 @@ def test_matrix_json_round_trip():
     for entries in ([[["1", 0]]], [[[10**400, 0]]], [[[1, 0, 0]]], [[[1]]], [[None]]):
         with pytest.raises(ValueError):
             matrix_from_json({"n": 1, "entries": entries})
+    for n in (1.7, True, "1", float("inf"), float("nan"), None):
+        with pytest.raises(ValueError):
+            matrix_from_json({"n": n, "entries": [[[2, 0]]]})
+    np.testing.assert_allclose(matrix_from_json({"n": 1.0, "entries": [[[2, 0]]]}), [[2]])
 
 
 def test_s_numbers_of_signed_diagonal():
