@@ -1,9 +1,9 @@
-"""Command-line interface: JSON in, JSON/CSV out, deterministic property runs.
+"""Command-line interface: JSON in, JSON/CSV out, through one loader.
 
 Exit codes: 0 success (for ``dominance``, verdict true), 1 dominance verdict
 false, 2 parse error, 3 numerical failure, 4 unsupported spec for --dual,
-5 dimension mismatch, 6 invariant failure. The environment variable
-GAUGENORM_SEED overrides --seed everywhere a seed is taken.
+5 dimension mismatch, 6 invariant failure. ``proptest`` runs the seeded suites
+of ``gaugenorm.proptest``; GAUGENORM_SEED overrides --seed.
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from . import dominance, duality, extreme2, linalg, norms
+from . import dominance, duality, extreme2, linalg, norms, proptest
 from .stepfn import StepFn, as_fraction
 
 PARSE, NUMERICAL, UNSUPPORTED_DUAL, DIM_MISMATCH, INVARIANT = 2, 3, 4, 5, 6
@@ -28,19 +27,12 @@ class CliFailure(Exception):
         self.code = code
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """parse(the JSON object in path), any read or parse error exiting 2."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliFailure(PARSE, f"cannot read JSON from {path}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    obj = _load_json(path)
-    try:
-        return linalg.matrix_from_json(obj)
-    except ValueError as exc:
+            return parse(json.load(fh))
+    except (OSError, ValueError, OverflowError) as exc:
         raise CliFailure(PARSE, f"{path}: {exc}") from exc
 
 
@@ -54,32 +46,20 @@ def _vector_entry(e) -> complex:
     raise ValueError(f"bad vector entry {e!r}")
 
 
-def _load_operand(path: str):
-    """A matrix {"n",...}, vector {"x",...}, or step function JSON file."""
-    obj = _load_json(path)
-    try:
-        if not isinstance(obj, dict):
-            raise ValueError("operand must be a JSON object")
-        if "entries" in obj:
-            return linalg.matrix_from_json(obj)
-        if "x" in obj:
-            vec = np.array([_vector_entry(e) for e in obj["x"]])
-            if vec.size == 0:
-                raise ValueError("vector is empty")
-            return vec
-        if "breakpoints" in obj:
-            return StepFn.from_json(obj)
-        raise ValueError("expected 'entries', 'x', or 'breakpoints'")
-    except (ValueError, OverflowError) as exc:
-        raise CliFailure(PARSE, f"{path}: {exc}") from exc
-
-
-def _load_spec(path: str) -> norms.NormSpec:
-    obj = _load_json(path)
-    try:
-        return norms.spec_from_json(obj)
-    except ValueError as exc:
-        raise CliFailure(PARSE, f"{path}: {exc}") from exc
+def _operand(obj):
+    """A matrix {"n",...}, vector {"x",...}, or step function object."""
+    if not isinstance(obj, dict):
+        raise ValueError("operand must be a JSON object")
+    if "entries" in obj:
+        return linalg.matrix_from_json(obj)
+    if "x" in obj:
+        vec = np.array([_vector_entry(e) for e in obj["x"]])
+        if vec.size == 0:
+            raise ValueError("vector is empty")
+        return vec
+    if "breakpoints" in obj:
+        return StepFn.from_json(obj)
+    raise ValueError("expected 'entries', 'x', or 'breakpoints'")
 
 
 def _emit(obj) -> None:
@@ -97,7 +77,7 @@ def _seed(args) -> int:
 
 
 def cmd_snumbers(args) -> int:
-    T = _load_matrix(args.matrix)
+    T = _load(args.matrix, linalg.matrix_from_json)
     try:
         mu = linalg.mu_step(T)
     except ValueError as exc:
@@ -107,13 +87,13 @@ def cmd_snumbers(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load(args.spec, norms.spec_from_json)
     if args.profile:
         print(extreme2.profile_csv(extreme2.profile_of(spec)), end="")
         return 0
     if args.operand is None:
         raise CliFailure(PARSE, "an operand file is required without --profile")
-    operand = _load_operand(args.operand)
+    operand = _load(args.operand, _operand)
     if args.dual:
         if isinstance(operand, StepFn):
             raise CliFailure(PARSE, "--dual expects a vector or matrix operand")
@@ -136,8 +116,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_dominance(args) -> int:
-    S = _load_matrix(args.matrix_s)
-    T = _load_matrix(args.matrix_t)
+    S = _load(args.matrix_s, linalg.matrix_from_json)
+    T = _load(args.matrix_t, linalg.matrix_from_json)
     if S.shape != T.shape:
         raise CliFailure(
             DIM_MISMATCH, f"dimension mismatch: {S.shape[0]} vs {T.shape[0]}"
@@ -148,11 +128,7 @@ def cmd_dominance(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    obj = _load_json(args.profile)
-    try:
-        prof = extreme2.Profile.from_json(obj)
-    except ValueError as exc:
-        raise CliFailure(PARSE, f"{args.profile}: {exc}") from exc
+    prof = _load(args.profile, extreme2.Profile.from_json)
     violations = extreme2.admissibility_violations(prof)
     if violations:
         raise CliFailure(
@@ -177,212 +153,19 @@ def cmd_lpcheck(args) -> int:
     return 0 if ok else NUMERICAL
 
 
-# ---------------------------------------------------------------------------
-# property-test harness
-
-
-def _battery(n: int, seed: int) -> list[norms.NormSpec]:
-    """A deterministic mixed battery of norm specs on dimension n."""
-    rng = linalg.Rng64(seed)
-    specs: list[norms.NormSpec] = [
-        norms.Trace(),
-        norms.Operator(),
-        norms.Lp(Fraction(3, 2)),
-        norms.Lp(2),
-        norms.TBracket(Fraction(3, 4)),
-    ]
-    specs.extend(norms.KyFan(Fraction(k, n)) for k in range(1, n + 1))
-    specs.extend(
-        norms.Weight(norms.random_weight_fn(n, rng, normalized=True))
-        for _ in range(3)
-    )
-    specs.append(norms.SupOf(norms.random_supof_fns(n, rng, 3, normalized=True)))
-    specs.append(
-        norms.CSup(
-            StepFn(
-                (Fraction(0), Fraction(1, 2), Fraction(1)),
-                (1.0, 0.25 + 0.5 * rng.uniform()),
-            )
-        )
-    )
-    return specs
-
-
-def _polyhedral_battery(n: int, seed: int) -> list[norms.NormSpec]:
-    return [s for s in _battery(n, seed) if not isinstance(s, norms.Lp)]
-
-
-def _suite_axioms(seed: int, trials: int) -> tuple[bool, dict, list]:
-    n = 4
-    reports = []
-    witnesses = []
-    for i, spec in enumerate(_battery(n, seed)):
-        rep = norms.check_norm_axioms(spec, n=n, trials=trials, seed=seed + i)
-        reports.append(
-            {
-                "spec": rep["spec"],
-                "passed": rep["passed"],
-                "failures": {
-                    name: entry["fail"]
-                    for name, entry in rep["checks"].items()
-                    if entry["fail"]
-                },
-            }
-        )
-        if not rep["passed"]:
-            witnesses.append(rep)
-    passed = all(r["passed"] for r in reports)
-    return passed, {"n": n, "specs": reports}, witnesses
-
-
-def _suite_duality(seed: int, trials: int) -> tuple[bool, dict, list]:
-    n = 4
-    rng = linalg.Rng64(seed ^ 0xD0A1)
-    specs = _polyhedral_battery(n, seed)
-    checks = {"involution": 0, "kyfan_closed_form": 0, "holder": 0}
-    witnesses = []
-    rounds = max(1, trials // 10)
-    for _ in range(rounds):
-        x = np.array([rng.gauss() for _ in range(n)])
-        for spec in specs:
-            primal, double = duality.involution_check(spec, x)
-            if abs(primal - double) > 1e-8:
-                witnesses.append(
-                    {
-                        "check": "involution",
-                        "spec": norms.spec_to_json(spec),
-                        "x": x.tolist(),
-                        "primal": primal,
-                        "double_dual": double,
-                    }
-                )
-            else:
-                checks["involution"] += 1
-        k = 1 + rng.next_u64() % n
-        t = Fraction(int(k), n)
-        lp_value = duality.dual_vec(norms.KyFan(t), x)
-        xs = np.sort(np.abs(x))[::-1]
-        closed = max(float(t) * xs[0], float(np.mean(xs)))
-        if abs(lp_value - closed) > 1e-8:
-            witnesses.append(
-                {
-                    "check": "kyfan_closed_form",
-                    "t": str(t),
-                    "x": x.tolist(),
-                    "lp": lp_value,
-                    "closed_form": closed,
-                }
-            )
-        else:
-            checks["kyfan_closed_form"] += 1
-        S = linalg.random_matrix(n, rng.next_u64())
-        T = linalg.random_matrix(n, rng.next_u64())
-        for spec in specs:
-            lhs, rhs = duality.holder_check(spec, S, T)
-            if lhs > rhs + 1e-8:
-                witnesses.append(
-                    {
-                        "check": "holder",
-                        "spec": norms.spec_to_json(spec),
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-                )
-            else:
-                checks["holder"] += 1
-    return not witnesses, {"n": n, "rounds": rounds, "passes": checks}, witnesses
-
-
-def _suite_dominance(seed: int, trials: int) -> tuple[bool, dict, list]:
-    n = 5
-    rng = linalg.Rng64(seed ^ 0xD011)
-    specs = _battery(4, seed)[:8]
-    witnesses = []
-    styles = ("contraction", "unitary_mix", "pinch")
-    count = 0
-    for i in range(max(1, trials // 3)):
-        T, S = dominance.majorization_pair(n, rng, styles[i % 3])
-        report = dominance.dominance_transfer(T, S, specs)
-        count += 1
-        if not report["passed"]:
-            witnesses.append(
-                {
-                    "check": "transfer",
-                    "style": styles[i % 3],
-                    "T": linalg.matrix_to_json(T),
-                    "S": linalg.matrix_to_json(S),
-                    "report": report,
-                }
-            )
-    return not witnesses, {"n": n, "pairs": count}, witnesses
-
-
-def _suite_extreme2(seed: int, trials: int) -> tuple[bool, dict, list]:
-    rng = linalg.Rng64(seed ^ 0xE2)
-    witnesses = []
-    rounds = max(1, trials // 2)
-    for _ in range(rounds):
-        prof = extreme2.random_admissible_profile(rng)
-        mu = extreme2.decompose(prof)
-        back = extreme2.reconstruct(mu)
-        err = max(abs(back(k) - v) for k, v in zip(prof.knots, prof.values))
-        if err > 1e-10:
-            witnesses.append(
-                {
-                    "check": "round_trip",
-                    "profile": prof.to_json(),
-                    "measure": mu.to_json(),
-                    "error": err,
-                }
-            )
-    extremality = [
-        extreme2.not_convex_combination(t, trials=max(1, trials // 5), seed=seed)
-        for t in (0.5, 0.65, 0.8, 1.0)
-    ]
-    for rep in extremality:
-        if not rep["extreme"]:
-            witnesses.append({"check": "extremality", "report": rep})
-    summary = {
-        "round_trips": rounds,
-        "extremality": [
-            {"t": r["t"], "extreme": r["extreme"]} for r in extremality
-        ],
-    }
-    return not witnesses, summary, witnesses
-
-
-SUITES = {
-    "axioms": _suite_axioms,
-    "duality": _suite_duality,
-    "dominance": _suite_dominance,
-    "extreme2": _suite_extreme2,
-}
-
-
 def cmd_proptest(args) -> int:
     seed = _seed(args)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    suites_report = {}
-    witnesses = []
-    all_passed = True
-    for name in names:
-        passed, summary, wit = SUITES[name](seed, args.trials)
-        suites_report[name] = {"passed": passed, **summary}
-        all_passed = all_passed and passed
-        witnesses.extend({"suite": name, **w} for w in wit)
-    report = {
-        "seed": seed,
-        "trials": args.trials,
-        "suites": suites_report,
-        "passed": all_passed,
-    }
+    if args.trials < 1:
+        raise CliFailure(PARSE, f"proptest needs --trials >= 1, got {args.trials}")
+    names = list(proptest.SUITES) if args.suite == "all" else [args.suite]
+    report, witnesses = proptest.run(names, seed, args.trials)
     _emit(report)
-    if not all_passed:
-        with open(args.witness_file, "w", encoding="utf-8") as fh:
-            json.dump(witnesses, fh, indent=2)
-        print(f"witnesses written to {args.witness_file}", file=sys.stderr)
-        return INVARIANT
-    return 0
+    if report["passed"]:
+        return 0
+    with open(args.witness_file, "w", encoding="utf-8") as fh:
+        json.dump(witnesses, fh, indent=2)
+    print(f"witnesses written to {args.witness_file}", file=sys.stderr)
+    return INVARIANT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument(
         "--suite",
-        choices=[*SUITES, "all"],
+        choices=[*proptest.SUITES, "all"],
         default="all",
     )
     p.add_argument(

@@ -4,6 +4,7 @@ If every top-k partial sum of the s-numbers of S is bounded by the matching
 partial sum for T, then S is below T in every norm this package evaluates.
 Checking the n grid points k/n suffices for the continuum of Ky Fan norms
 because t times the Ky Fan t-norm is piecewise linear in t with knots k/n.
+Random dominated pairs for the property runs are drawn in ``proptest``.
 """
 
 from __future__ import annotations
@@ -73,34 +74,6 @@ def dominance_transfer(
             }
         )
     return {"certificate": certificate, "specs": entries, "passed": passed}
-
-
-def majorization_pair(
-    n: int, rng: "linalg.Rng64", style: str = "contraction"
-) -> tuple[np.ndarray, np.ndarray]:
-    """A random pair (T, S) with S dominated by T in all Ky Fan norms.
-
-    Three constructions, each a norm contraction applied to a random T:
-    multiplying by a contraction, averaging over conjugations by random
-    unitaries, and pinching by a random orthogonal partition.
-    """
-    T = linalg.random_matrix(n, rng.next_u64())
-    if style == "contraction":
-        A = linalg.random_matrix(n, rng.next_u64())
-        A = A / (linalg.operator_norm(A) * (1.0 + rng.uniform()))
-        return T, A @ T
-    if style == "unitary_mix":
-        k = 2 + rng.next_u64() % 3
-        weights = [rng.uniform() for _ in range(k)]
-        total = sum(weights)
-        S = np.zeros_like(T)
-        for w in weights:
-            U = linalg.random_unitary(n, rng.next_u64())
-            S = S + (w / total) * (U @ T @ U.conj().T)
-        return T, S
-    if style == "pinch":
-        return T, linalg.pinch(T, linalg.random_partition(n, rng.next_u64()))
-    raise ValueError(f"unknown pair style {style!r}")
 
 
 def violating_weight(n: int, k: int):

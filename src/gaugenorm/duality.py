@@ -37,6 +37,7 @@ from .norms import (
     norm_mat,
     norm_vec,
     power_mean,
+    sorted_magnitudes,
     spec_rows,
 )
 from .stepfn import StepFn
@@ -97,10 +98,7 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
 
 def dual_vec_full(spec: NormSpec, x) -> tuple[float, np.ndarray]:
     """Dual norm of x and a maximizing ordered witness y."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    if v.size == 0:
-        raise ValueError("empty vector has no norm")
-    xstar = np.sort(np.abs(v))[::-1]
+    xstar = sorted_magnitudes(x)
     if isinstance(spec, Lp):
         return _lp_dual(float(spec.p), xstar)
     return _rows_dual(spec_rows(spec, xstar.size), xstar)
@@ -282,10 +280,9 @@ def involution_check(spec: NormSpec, x) -> tuple[float, float]:
     The dual ball's rows come from the primal ball's vertices, so the double
     dual is the same LP over those rows.
     """
-    v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    primal = norm_vec(spec, v)
-    xstar = np.sort(np.abs(v))[::-1]
-    double_dual, _ = _rows_dual(_dual_rows(spec, v.size) / v.size, xstar)
+    xstar = sorted_magnitudes(x)
+    primal = norm_vec(spec, xstar)
+    double_dual, _ = _rows_dual(_dual_rows(spec, xstar.size) / xstar.size, xstar)
     return primal, double_dual
 
 

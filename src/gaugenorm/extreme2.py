@@ -9,7 +9,9 @@ directions, and ``lp_density_check`` verifies the integral form of the same
 decomposition for the Lp family.
 
 ``profile_of`` gives a polyhedral spec's profile exactly, as the upper
-envelope of its rows on M2; only Lp profiles are a closed form.
+envelope of its rows on M2; only Lp profiles are a closed form. Random
+admissible profiles and the extremality check of the bracket norms are in
+``proptest``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import Rng64
-from .norms import Lp, NormSpec, TBracket, spec_rows
+from .norms import Lp, NormSpec, spec_rows
 from .stepfn import as_fraction
 
 ADMISSIBLE_TOL = 1e-12
@@ -84,9 +85,9 @@ class Profile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Profile":
-        if "p" in obj:
-            return cls.lp(float(obj["p"]))
         try:
+            if "p" in obj:
+                return cls.lp(float(obj["p"]))
             knots = [float(as_fraction(k)) for k in obj["knots"]]
             values = [float(v) for v in obj["values"]]
         except (KeyError, TypeError, ValueError) as exc:
@@ -267,24 +268,6 @@ def reconstruct(mu: AtomicMeasure) -> Profile:
     return Profile.piecewise_linear(ks, vals)
 
 
-def random_admissible_profile(rng: Rng64, max_interior: int = 5) -> Profile:
-    """A random admissible piecewise-linear profile.
-
-    Slopes are half of a nondecreasing sequence in [0, 1] and the values are
-    integrated backwards from f(1) = 1; with the final slope at most 1/2 that
-    construction lands inside the sandwich automatically.
-    """
-    interior = 1 + rng.next_u64() % max_interior
-    inner = {rng.uniform() for _ in range(interior)}
-    knots = [0.0] + sorted(k for k in inner if 1e-6 < k < 1.0 - 1e-6) + [1.0]
-    alphas = sorted(rng.uniform() for _ in range(len(knots) - 1))
-    values = [0.0] * len(knots)
-    values[-1] = 1.0
-    for i in range(len(knots) - 2, -1, -1):
-        values[i] = values[i + 1] - (alphas[i] / 2.0) * (knots[i + 1] - knots[i])
-    return Profile.piecewise_linear(knots, values)
-
-
 def _fp(p: float, s: float) -> float:
     return ((1.0 + s**p) / 2.0) ** (1.0 / p)
 
@@ -348,47 +331,6 @@ def lp_density_check(p: float, s_grid=None) -> float:
         abs(_lp_integral(p, s, _TS_U, _TS_W) - _fp(p, s)) for s in map(float, s_grid)
     ]
     return float(np.max(errors, initial=0.0))
-
-
-def not_convex_combination(t: float, trials: int = 100, seed: int = 0) -> dict:
-    """Extremality evidence for the bracket norm at t.
-
-    Draws random admissible profiles f1 (from two-atom mixtures) and mixing
-    weights alpha, forms the complementary part f2 = (f - alpha f1)/(1-alpha)
-    against the bracket profile f, and classifies each trial: f2 inadmissible
-    (the candidate split is infeasible) or f2 admissible with f1 = f2 = f
-    forced. The slopes of f are 0 then 1/2; any admissible part has slopes in
-    [0, 1/2], so matching the mixture's derivative pins both parts piecewise,
-    which is why no genuine split can appear.
-    """
-    if not 0.5 <= t <= 1.0:
-        raise ValueError(f"bracket parameter {t} outside [1/2, 1]")
-    target = profile_of(TBracket(t))
-    rng = Rng64(seed)
-    counts = {"infeasible": 0, "forced_equal": 0, "violation": 0}
-    for _ in range(trials):
-        alpha = 0.05 + 0.9 * rng.uniform()
-        t1 = 0.5 + 0.5 * rng.uniform()
-        t2 = 0.5 + 0.5 * rng.uniform()
-        w = rng.uniform()
-        f1 = reconstruct(AtomicMeasure(((t1, w), (t2, 1.0 - w))))
-        knots = sorted(set(target.knots) | set(f1.knots))
-        f2_vals = [
-            (target(x) - alpha * f1(x)) / (1.0 - alpha) for x in knots
-        ]
-        f2 = Profile.piecewise_linear(knots, f2_vals)
-        if not check_admissible(f2):
-            counts["infeasible"] += 1
-        elif max(abs(f1(x) - target(x)) for x in knots) <= 1e-9:
-            counts["forced_equal"] += 1
-        else:
-            counts["violation"] += 1
-    return {
-        "t": t,
-        "trials": trials,
-        **counts,
-        "extreme": counts["violation"] == 0,
-    }
 
 
 def profile_csv(p: Profile, points: int = 101) -> str:

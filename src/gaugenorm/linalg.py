@@ -184,11 +184,6 @@ def random_matrix(n: int, seed: int) -> np.ndarray:
     )
 
 
-def random_hermitian(n: int, seed: int) -> np.ndarray:
-    Z = random_matrix(n, seed)
-    return (Z + Z.conj().T) / 2.0
-
-
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-ish unitary: modified Gram-Schmidt on a seeded Gaussian matrix."""
     if n < 1:

@@ -11,11 +11,13 @@ LP and vertex enumeration in ``duality`` share it. ``Lp`` has a closed form.
 
 ``norm_step`` is the exact reference for general step functions: it works
 through the ``Fraction`` rearrangement and pairing of ``stepfn`` and is not on
-the vector or matrix path. The tests hold the two routes together.
+the vector or matrix path. The tests hold the two routes together. Random
+weights and the axiom checker of the property runs are in ``proptest``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +41,8 @@ from .stepfn import (
 
 def _as_param(x: RationalLike) -> Fraction | float:
     """Keep exact rationals exact; pass floats through unchanged."""
+    if isinstance(x, bool):
+        raise ValueError(f"parameter {x!r} is a boolean, not a number")
     if isinstance(x, (Fraction, int, str)):
         return as_fraction(x)
     return float(x)
@@ -287,10 +291,23 @@ def _norm_of_rearranged(spec: NormSpec, g: StepFn) -> float:
     raise TypeError(f"unknown norm spec {spec!r}")
 
 
+def sorted_magnitudes(x) -> np.ndarray:
+    """|x| in nonincreasing order, for a nonempty vector of finite entries.
+
+    The descending sort puts NaN first and inf next, so the first entry
+    alone decides finiteness.
+    """
+    v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    if v.size == 0:
+        raise ValueError("empty vector has no norm")
+    xstar = np.sort(np.abs(v))[::-1]
+    if not math.isfinite(xstar[0]):
+        raise ValueError("values must be finite")
+    return xstar
+
+
 def _norm_of_ordered(spec: NormSpec, xstar: np.ndarray) -> float:
     """The norm of a nonincreasing nonnegative vector, through its rows."""
-    if not np.all(np.isfinite(xstar)):
-        raise ValueError("values must be finite")
     if isinstance(spec, Lp):
         return power_mean(xstar, float(spec.p))
     return float(np.max(spec_rows(spec, xstar.size) @ xstar))
@@ -298,15 +315,15 @@ def _norm_of_ordered(spec: NormSpec, xstar: np.ndarray) -> float:
 
 def norm_vec(spec: NormSpec, x) -> float:
     """Evaluate the norm on a vector under the normalized counting trace."""
-    v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    if v.size == 0:
-        raise ValueError("empty vector has no norm")
-    return _norm_of_ordered(spec, np.sort(np.abs(v))[::-1])
+    return _norm_of_ordered(spec, sorted_magnitudes(x))
 
 
 def norm_mat(spec: NormSpec, T: np.ndarray) -> float:
     """Evaluate the norm on a matrix through its s-numbers."""
-    return _norm_of_ordered(spec, linalg.s_numbers(T))
+    s = linalg.s_numbers(T)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("values must be finite")
+    return _norm_of_ordered(spec, s)
 
 
 def identity_norm(spec: NormSpec, n: int) -> float:
@@ -333,35 +350,6 @@ def weight_norm_as_kyfan_combo(
         if coeff != 0.0:
             combo.append((coeff, Fraction(k, n)))
     return combo
-
-
-def random_weight_fn(
-    n: int, rng: "linalg.Rng64", normalized: bool = False
-) -> StepFn:
-    """A random nonincreasing nonnegative weight on the uniform n-partition.
-
-    With ``normalized`` the weight has mean exactly 1, so the weight norm it
-    induces is normalized; otherwise the mean is a random value in (0, 1].
-    """
-    vals = sorted((rng.uniform() for _ in range(n)), reverse=True)
-    mean = sum(vals) / n
-    target = 1.0 if normalized else 0.2 + 0.8 * rng.uniform()
-    return StepFn.from_uniform([v * target / mean for v in vals])
-
-
-def random_supof_fns(
-    n: int, rng: "linalg.Rng64", count: int, normalized: bool = False
-) -> tuple[StepFn, ...]:
-    """Random weights for a SupOf spec, jointly rescaled when normalized.
-
-    Normalization of a supremum of weight norms means the largest member
-    integral equals 1, so the whole family is scaled by that maximum.
-    """
-    fs = [random_weight_fn(n, rng) for _ in range(count)]
-    if normalized:
-        top = max(f.integral() for f in fs)
-        fs = [f.scale(1.0 / top) for f in fs]
-    return tuple(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,109 +412,3 @@ def spec_from_json(obj: dict) -> NormSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {kind!r} spec: {exc}") from exc
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# randomized axiom checking
-
-
-def check_norm_axioms(
-    spec: NormSpec,
-    n: int = 4,
-    trials: int = 50,
-    seed: int = 0,
-) -> dict:
-    """Randomized check of the gauge-norm axioms for one spec.
-
-    Runs the triangle inequality, absolute homogeneity, two-sided unitary
-    invariance, the bounded-multiplier bound |||ATB||| <= ||A|| |||T||| ||B||,
-    the normalized sandwich, and positivity-monotonicity. Failures become
-    report entries with witnesses, not exceptions.
-    """
-    rng = linalg.Rng64(seed)
-    unit = identity_norm(spec, n)
-    checks: dict[str, dict] = {
-        name: {"pass": 0, "fail": 0, "worst": 0.0, "witness": None}
-        for name in (
-            "triangle",
-            "homogeneity",
-            "unitary_invariance",
-            "multiplier_bound",
-            "sandwich",
-            "monotonicity",
-        )
-    }
-
-    def record(name: str, margin: float, witness) -> None:
-        entry = checks[name]
-        if margin <= 0:
-            entry["pass"] += 1
-        else:
-            entry["fail"] += 1
-            if margin > entry["worst"]:
-                entry["worst"] = margin
-                entry["witness"] = witness
-
-    for _ in range(trials):
-        S = linalg.random_matrix(n, rng.next_u64())
-        T = linalg.random_matrix(n, rng.next_u64())
-        nS, nT = norm_mat(spec, S), norm_mat(spec, T)
-
-        record(
-            "triangle",
-            norm_mat(spec, S + T) - (nS + nT) - 1e-9,
-            {"S": linalg.matrix_to_json(S), "T": linalg.matrix_to_json(T)},
-        )
-
-        c = 2.0 * rng.gauss()
-        record(
-            "homogeneity",
-            abs(norm_mat(spec, c * T) - abs(c) * nT) - 1e-9 * max(1.0, abs(c)),
-            {"c": c, "T": linalg.matrix_to_json(T)},
-        )
-
-        U = linalg.random_unitary(n, rng.next_u64())
-        V = linalg.random_unitary(n, rng.next_u64())
-        record(
-            "unitary_invariance",
-            abs(norm_mat(spec, U @ T @ V) - nT) - 1e-8,
-            {"T": linalg.matrix_to_json(T)},
-        )
-
-        A = linalg.random_matrix(n, rng.next_u64())
-        B = linalg.random_matrix(n, rng.next_u64())
-        bound = linalg.operator_norm(A) * nT * linalg.operator_norm(B)
-        record(
-            "multiplier_bound",
-            norm_mat(spec, A @ T @ B) - bound - 1e-8 * max(1.0, bound),
-            {"T": linalg.matrix_to_json(T)},
-        )
-
-        scaled = nT / unit
-        record(
-            "sandwich",
-            max(
-                linalg.trace_norm(T) - scaled,
-                scaled - linalg.operator_norm(T),
-            )
-            - 1e-10,
-            {"T": linalg.matrix_to_json(T)},
-        )
-
-        low = S.conj().T @ S
-        high = low + T.conj().T @ T
-        record(
-            "monotonicity",
-            norm_mat(spec, low) - norm_mat(spec, high) - 1e-9,
-            {"S": linalg.matrix_to_json(S), "T": linalg.matrix_to_json(T)},
-        )
-
-    report = {
-        "spec": spec_to_json(spec),
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "checks": checks,
-        "passed": all(entry["fail"] == 0 for entry in checks.values()),
-    }
-    return report

@@ -57,8 +57,8 @@ def battery20() -> list:
         specs.append(KyFan(t))
     specs.append(TBracket(Fraction(3, 5)))
     specs.append(TBracket(Fraction(9, 10)))
-    specs.append(Weight(gn.norms.random_weight_fn(6, rng, normalized=True)))
-    specs.append(SupOf(gn.norms.random_supof_fns(6, rng, 3, normalized=True)))
+    specs.append(Weight(gn.proptest.random_weight_fn(6, rng, normalized=True)))
+    specs.append(SupOf(gn.proptest.random_supof_fns(6, rng, 3, normalized=True)))
     specs.append(
         CSup(StepFn((Fraction(0), Fraction(1, 2), Fraction(1)), (1.0, 0.5)))
     )
@@ -122,10 +122,10 @@ def test_criterion_03_double_dual_involution():
     rng = Rng64(303)
     weight_rng = Rng64(17)
     weights = [
-        Weight(gn.norms.random_weight_fn(8, weight_rng)) for _ in range(10)
+        Weight(gn.proptest.random_weight_fn(8, weight_rng)) for _ in range(10)
     ]
     sups = [
-        SupOf(gn.norms.random_supof_fns(8, weight_rng, 3)) for _ in range(5)
+        SupOf(gn.proptest.random_supof_fns(8, weight_rng, 3)) for _ in range(5)
     ]
     families = [Trace(), Operator(), "kyfan", *weights, *sups]
     worst = 0.0
@@ -151,7 +151,7 @@ def test_criterion_04_supremum_norms_equal_their_dual_ball_form():
     worst = 0.0
     for _ in range(100):
         n = 2 + rng.next_u64() % 5
-        spec = SupOf(gn.norms.random_supof_fns(n, rng, 2 + rng.next_u64() % 3))
+        spec = SupOf(gn.proptest.random_supof_fns(n, rng, 2 + rng.next_u64() % 3))
         T = gn.random_matrix(n, rng.next_u64())
         lhs, rhs = gn.representation_check(spec, T)
         worst = max(worst, abs(lhs - rhs))

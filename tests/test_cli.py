@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from gaugenorm import cli, norms
+from gaugenorm import cli, proptest
 
 
 def write(path, obj):
@@ -69,6 +70,21 @@ def test_inputs_past_the_float_range_exit_2(tmp_path, capsys, spec, operand):
     operand = write(tmp_path / "x.json", operand)
     assert cli.main(["norm", spec, operand]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "lp", "p": True}, {"kind": "kyfan", "t": True}],
+    ids=["lp", "kyfan"],
+)
+def test_boolean_spec_parameters_exit_2(tmp_path, capsys, spec):
+    # JSON true loads as a bool, which Python counts as the int 1; it is no p or t.
+    spec = write(tmp_path / "s.json", spec)
+    operand = write(tmp_path / "x.json", {"x": [3, 1]})
+    assert cli.main(["norm", spec, operand]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_arithmetic_errors_exit_3(tmp_path, capsys, monkeypatch):
@@ -174,6 +190,17 @@ def test_decompose_inadmissible_profile_exits_6(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [{"knots": [0, 1], "values": [10**400, 1]}, {"p": 10**400}, 5],
+    ids=["pl-value-past-float-range", "lp-p-past-float-range", "not-an-object"],
+)
+def test_decompose_malformed_profile_exits_2(tmp_path, capsys, profile):
+    prof = write(tmp_path / "p.json", profile)
+    assert cli.main(["decompose", prof]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lpcheck_reports_small_error(capsys):
     code, out = run(capsys, ["lpcheck", "--p", "2.0"])
     assert code == 0
@@ -202,6 +229,27 @@ def test_proptest_axioms_passes_and_is_deterministic(capsys):
     assert json.loads(out1)["passed"] is True
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_proptest_rejects_trials_below_one(capsys, trials):
+    # No trials check nothing, so they must not report "passed": true.
+    assert cli.main(["proptest", "--suite", "axioms", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+GOLDEN = Path(__file__).parent / "data" / "proptest_seed7_trials10.json"
+
+
+def test_proptest_report_matches_the_golden_file(capsys, monkeypatch):
+    # A fixed seed gives a byte-identical report, from one version to the next.
+    monkeypatch.delenv("GAUGENORM_SEED", raising=False)
+    argv = ["proptest", "--suite", "all", "--seed", "7", "--trials", "10"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == GOLDEN.read_text(encoding="utf-8")
+
+
 def test_proptest_seed_env_override(capsys, monkeypatch):
     _, baseline = run(
         capsys, ["proptest", "--suite", "extreme2", "--seed", "9", "--trials", "6"]
@@ -214,7 +262,7 @@ def test_proptest_seed_env_override(capsys, monkeypatch):
 
 
 def test_proptest_failure_dumps_witnesses(tmp_path, capsys, monkeypatch):
-    original = norms.check_norm_axioms
+    original = proptest.check_norm_axioms
 
     def broken_axioms(spec, n=4, trials=50, seed=0):
         report = original(spec, n=n, trials=trials, seed=seed)
@@ -223,7 +271,7 @@ def test_proptest_failure_dumps_witnesses(tmp_path, capsys, monkeypatch):
         report["passed"] = False
         return report
 
-    monkeypatch.setattr(norms, "check_norm_axioms", broken_axioms)
+    monkeypatch.setattr(proptest, "check_norm_axioms", broken_axioms)
     witness_file = tmp_path / "w.json"
     code = cli.main(
         [

@@ -14,9 +14,9 @@ from gaugenorm import KyFan, Lp, TBracket, Trace
 from gaugenorm.dominance import (
     dominance_transfer,
     kyfan_dominates,
-    majorization_pair,
     violating_weight,
 )
+from gaugenorm.proptest import majorization_pair
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 STYLES = ("contraction", "unitary_mix", "pinch")

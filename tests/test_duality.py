@@ -55,8 +55,8 @@ def polyhedral_specs(n, seed):
         Operator(),
         KyFan(Fraction(1, n)),
         KyFan(Fraction(n - 1, n)),
-        Weight(gn.norms.random_weight_fn(n, rng, normalized=True)),
-        SupOf(gn.norms.random_supof_fns(n, rng, 3, normalized=True)),
+        Weight(gn.proptest.random_weight_fn(n, rng, normalized=True)),
+        SupOf(gn.proptest.random_supof_fns(n, rng, 3, normalized=True)),
         TBracket(Fraction(3, 4)),
         gn.CSup(halves(1.0, 0.5)),
     ]
@@ -118,6 +118,19 @@ def test_simplex_matches_the_loop_reference_exactly(seed):
     ref_value, ref_x = loop_simplex(c, B)
     assert value == ref_value
     np.testing.assert_array_equal(x, ref_x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
+@pytest.mark.parametrize("spec", [KyFan(Fraction(1, 2)), Lp(3)], ids=["kyfan", "lp"])
+def test_dual_rejects_non_finite_entries_like_the_primal(spec, bad):
+    # Without a check the Ky Fan dual reads 0.0 and the Lp dual nan here.
+    for x in ([bad, 1.0], [1.0, bad]):
+        for f in (norm_vec, dual_vec):
+            with pytest.raises(ValueError, match="finite"):
+                f(spec, x)
+        if not isinstance(spec, Lp):
+            with pytest.raises(ValueError, match="finite"):
+                involution_check(spec, x)
 
 
 def test_lp_dual_closed_forms():
@@ -312,7 +325,7 @@ def test_dual_reverses_pointwise_order():
 def test_representation_check_agrees(seed):
     rng = gn.Rng64(seed)
     n = 3
-    spec = SupOf(gn.norms.random_supof_fns(n, rng, 3))
+    spec = SupOf(gn.proptest.random_supof_fns(n, rng, 3))
     T = gn.random_matrix(n, rng.next_u64())
     lhs, rhs = representation_check(spec, T)
     assert rhs == pytest.approx(lhs, rel=1e-8, abs=1e-8)

@@ -30,12 +30,11 @@ from gaugenorm.extreme2 import (
     check_admissible,
     decompose,
     lp_density_check,
-    not_convex_combination,
     profile_csv,
     profile_of,
-    random_admissible_profile,
     reconstruct,
 )
+from gaugenorm.proptest import not_convex_combination, random_admissible_profile
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -80,14 +79,14 @@ def random_polyhedral_spec(seed):
     pieces = 1 + rng.next_u64() % 6
     if kind == 0:
         count = 1 + rng.next_u64() % 4
-        return SupOf(gn.norms.random_supof_fns(pieces, rng, count, normalized=True))
+        return SupOf(gn.proptest.random_supof_fns(pieces, rng, count, normalized=True))
     if kind == 1:
         cuts = sorted({Fraction(rng.next_u64() % 97 + 1, 98) for _ in range(pieces)})
         values = [rng.uniform() for _ in range(len(cuts) + 1)]
         values[rng.next_u64() % len(values)] = 1.0
         return CSup(StepFn((Fraction(0), *cuts, Fraction(1)), tuple(values)))
     if kind == 2:
-        return Weight(gn.norms.random_weight_fn(pieces, rng, normalized=True))
+        return Weight(gn.proptest.random_weight_fn(pieces, rng, normalized=True))
     if kind == 3:
         t = Fraction(rng.next_u64() % 64 + 1, 64) if seed % 2 else rng.uniform()
         return KyFan(t)

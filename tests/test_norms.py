@@ -149,7 +149,7 @@ def test_weight_norm_pairs_against_rearrangement():
 @settings(max_examples=100)
 def test_weight_norm_equals_kyfan_combination(x, n, seed):
     rng = gn.Rng64(seed)
-    w = gn.norms.random_weight_fn(n, rng)
+    w = gn.proptest.random_weight_fn(n, rng)
     combo = gn.weight_norm_as_kyfan_combo(w)
     direct = norm_vec(Weight(w), x)
     combined = sum(c * norm_vec(KyFan(t), x) for c, t in combo)
@@ -260,6 +260,14 @@ def test_parameter_validation():
     for p in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             Lp(p)
+
+
+def test_boolean_parameters_are_rejected():
+    for make in (Lp, KyFan, TBracket):
+        with pytest.raises(ValueError, match="boolean"):
+            make(True)
+    with pytest.raises(ValueError, match="boolean"):
+        spec_from_json({"kind": "kyfan", "t": True})
 
 
 @given(seeds)
