@@ -10,7 +10,12 @@ with x* the nonincreasing rearrangement of |x| (rearranging the argument is
 lossless by the classical pairing inequality). The substitution
 y_i = lambda_i + ... + lambda_n turns the ordering constraints into plain
 nonnegativity and leaves a standard-form problem with an all-slack feasible
-basis, solved by a dense simplex with Bland's rule.
+basis, solved by a dense simplex priced by Dantzig's rule, with Bland's rule
+after the first degenerate pivot. The LP is scaled to x*_1 = 1 and a largest
+staircase entry of 1 first, so its tolerances are relative and the dual is
+exactly homogeneous. A one-row norm needs no simplex: its dual is
+max_j C_j / B_j over the prefix sums B of the row and C of x*/n
+(Lorentz-Marcinkiewicz duality).
 
 The rows come from ``norms.spec_rows``, the cached row matrix that also
 evaluates the primal norm; ``spec_rows`` and ``UnsupportedSpecError`` are
@@ -50,8 +55,12 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize c . x subject to B x <= 1, x >= 0.
 
     The all-ones right-hand side keeps the slack basis feasible, so no
-    phase-1 is needed. Bland's rule (lowest eligible index enters, lowest
-    basis index leaves among ratio ties) guarantees termination.
+    phase-1 is needed. Dantzig's rule prices the columns: the most negative
+    reduced cost enters (the lowest index among ties), so the pivot count
+    follows the number of rows rather than the number of columns. After the
+    first degenerate pivot (a zero step) Bland's rule takes over for good:
+    the lowest eligible index enters, and the lowest basis index leaves
+    among ratio ties, which guarantees termination (Bland 1977).
     """
     B = np.asarray(B, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -62,11 +71,18 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     tab[:m, -1] = 1.0
     tab[m, :d] = -c
     basis = list(range(d, d + m))
+    bland = False
     while True:
-        eligible = np.flatnonzero(tab[m, :-1] < -PIVOT_TOL)
-        if eligible.size == 0:
-            break
-        enter = int(eligible[0])
+        reduced = tab[m, :-1]
+        if bland:
+            eligible = np.flatnonzero(reduced < -PIVOT_TOL)
+            if eligible.size == 0:
+                break
+            enter = int(eligible[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -PIVOT_TOL:
+                break
         leave = -1
         best = np.inf
         for i in range(m):
@@ -80,6 +96,8 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
                     leave = i
         if leave < 0:
             raise RuntimeError("LP is unbounded; the row set is not a norm ball")
+        # Dantzig's rule can cycle through degenerate pivots; Bland's cannot.
+        bland = bland or best <= 0.0
         row = tab[leave]
         row /= row[enter]
         # One rank-1 update eliminates the pivot column from every other
@@ -109,10 +127,31 @@ def _rows_dual(R: np.ndarray, xstar: np.ndarray) -> tuple[float, np.ndarray]:
 
     In staircase coordinates y = cumsum of lambda from the right, the rows
     and the objective become their prefix sums and the ordered cone becomes
-    lambda >= 0, which is the standard form ``simplex_max`` solves.
+    lambda >= 0, which is the standard form ``simplex_max`` solves. The
+    problem is solved at x*_1 = 1 and max(B) = 1: the value scales back by
+    x*_1 / max(B) and the witness by 1 / max(B). With one row the optimum
+    sits at a single vertex lambda = e_j / B_j, the first j maximizing
+    C_j / B_j, whose witness is 1 / B_j on the first j + 1 coordinates.
     """
-    value, lam = simplex_max(np.cumsum(xstar / xstar.size), np.cumsum(R, axis=1))
-    return value, np.cumsum(lam[::-1])[::-1]
+    n = xstar.size
+    top = float(xstar[0])
+    if top == 0.0:
+        return 0.0, np.zeros(n)
+    B = np.cumsum(R, axis=1)
+    if not B[:, 0].max() > 0.0:
+        # rows are nonnegative, so the first column bounds every other one
+        raise RuntimeError("LP is unbounded; the row set is not a norm ball")
+    scale = float(B.max())
+    B /= scale
+    C = np.cumsum(xstar / top / n)
+    if B.shape[0] == 1:
+        ratios = C / B[0]
+        j = int(np.argmax(ratios))
+        y = np.zeros(n)
+        y[: j + 1] = 1.0 / B[0, j] / scale
+        return float(ratios[j]) * (top / scale), y
+    value, lam = simplex_max(C, B)
+    return value * (top / scale), np.cumsum(lam[::-1])[::-1] / scale
 
 
 _CONJUGATE_EXPONENT_CAP = 1e6

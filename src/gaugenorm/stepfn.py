@@ -137,8 +137,11 @@ class StepFn:
     @classmethod
     def from_json(cls, obj: dict) -> "StepFn":
         try:
-            bps = tuple(as_fraction(b) for b in obj["breakpoints"])
-            vals = tuple(float(v) for v in obj["values"])
+            bps, vals = obj["breakpoints"], obj["values"]
+            if any(isinstance(v, bool) for v in (*bps, *vals)):
+                raise ValueError("breakpoints and values must be numbers, not booleans")
+            bps = tuple(as_fraction(b) for b in bps)
+            vals = tuple(float(v) for v in vals)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed step function object: {exc}") from exc
         return cls(bps, vals)

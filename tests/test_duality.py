@@ -74,7 +74,12 @@ def test_simplex_reports_unbounded_problems():
 
 
 def loop_simplex(c, B):
-    """simplex_max written row by row, as the reference for its pivots."""
+    """simplex_max written row by row, as the reference for its pivots.
+
+    Dantzig's rule (most negative reduced cost, first index on ties) until
+    the first pivot with a zero step, then Bland's rule for good. Returns the
+    value, the solution, the pivot count and whether Bland's rule took over.
+    """
     m, d = B.shape
     tab = np.zeros((m + 1, d + m + 1))
     tab[:m, :d] = B
@@ -82,8 +87,15 @@ def loop_simplex(c, B):
     tab[:m, -1] = 1.0
     tab[m, :d] = -c
     basis = list(range(d, d + m))
+    pivots, bland = 0, False
     while True:
-        enter = next((j for j in range(d + m) if tab[m, j] < -1e-10), -1)
+        if bland:
+            enter = next((j for j in range(d + m) if tab[m, j] < -1e-10), -1)
+        else:
+            enter = -1
+            for j in range(d + m):
+                if tab[m, j] < -1e-10 and (enter < 0 or tab[m, j] < tab[m, enter]):
+                    enter = j
         if enter < 0:
             break
         leave, best = -1, np.inf
@@ -95,6 +107,8 @@ def loop_simplex(c, B):
                     tie and (leave < 0 or basis[i] < basis[leave])
                 ):
                     best, leave = ratio, i
+        pivots += 1
+        bland = bland or best <= 0.0
         tab[leave] /= tab[leave, enter]
         for i in range(m + 1):
             if i != leave and tab[i, enter] != 0.0:
@@ -104,7 +118,7 @@ def loop_simplex(c, B):
     for i, b in enumerate(basis):
         if b < d:
             x[b] = tab[i, -1]
-    return float(tab[m, -1]), x
+    return float(tab[m, -1]), x, pivots, bland
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -115,7 +129,7 @@ def test_simplex_matches_the_loop_reference_exactly(seed):
     B = np.vstack([B, B[:1]])  # a repeated row makes ratio ties
     c = np.cumsum(rng.uniform(0.0, 1.0, size=d))
     value, x = simplex_max(c, B)
-    ref_value, ref_x = loop_simplex(c, B)
+    ref_value, ref_x, _, _ = loop_simplex(c, B)
     assert value == ref_value
     np.testing.assert_array_equal(x, ref_x)
 
