@@ -37,7 +37,7 @@ def _load(path: str, parse):
 
 
 def _vector_entry(e) -> complex:
-    if isinstance(e, bool) or (isinstance(e, list) and any(isinstance(v, bool) for v in e)):
+    if any(isinstance(v, bool) for v in (e if isinstance(e, list) else [e])):
         raise ValueError(f"vector entry {e!r} holds a boolean, not a number")
     if isinstance(e, str):
         return complex(float(as_fraction(e)))

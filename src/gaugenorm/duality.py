@@ -12,9 +12,9 @@ y_i = lambda_i + ... + lambda_n turns the ordering constraints into plain
 nonnegativity and leaves a standard-form problem with an all-slack feasible
 basis, solved by a dense simplex priced by Dantzig's rule, with Bland's rule
 after the first degenerate pivot. The LP is scaled to x*_1 = 1 and a largest
-staircase entry of 1 first, so its tolerances are relative and the dual is
-exactly homogeneous. A one-row norm needs no simplex: its dual is
-max_j C_j / B_j over the prefix sums B of the row and C of x*/n
+staircase entry of 1 first, so its tolerances are relative and the dual
+scales with x across the float range. A one-row norm needs no simplex: its
+dual is max_j C_j / B_j over the prefix sums B of the row and C of x*/n
 (Lorentz-Marcinkiewicz duality).
 
 The rows come from ``norms.spec_rows``, the cached row matrix that also
@@ -74,15 +74,10 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     bland = False
     while True:
         reduced = tab[m, :-1]
-        if bland:
-            eligible = np.flatnonzero(reduced < -PIVOT_TOL)
-            if eligible.size == 0:
-                break
-            enter = int(eligible[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -PIVOT_TOL:
-                break
+        # Bland enters the first negative reduced cost, Dantzig the smallest
+        enter = int(np.argmax(reduced < -PIVOT_TOL) if bland else np.argmin(reduced))
+        if reduced[enter] >= -PIVOT_TOL:
+            break
         leave = -1
         best = np.inf
         for i in range(m):
@@ -138,10 +133,9 @@ def _rows_dual(R: np.ndarray, xstar: np.ndarray) -> tuple[float, np.ndarray]:
     if top == 0.0:
         return 0.0, np.zeros(n)
     B = np.cumsum(R, axis=1)
-    if not B[:, 0].max() > 0.0:
-        # rows are nonnegative, so the first column bounds every other one
-        raise RuntimeError("LP is unbounded; the row set is not a norm ball")
     scale = float(B.max())
+    if not scale > 0.0:
+        raise RuntimeError("LP is unbounded; the row set is not a norm ball")
     B /= scale
     C = np.cumsum(xstar / top / n)
     if B.shape[0] == 1:

@@ -87,6 +87,26 @@ def test_boolean_spec_parameters_exit_2(tmp_path, capsys, spec):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "operand",
+    [
+        {"x": [True, 1]},
+        {"x": [[True, 0], 1]},
+        {"breakpoints": [0, 1], "values": [True]},
+        {"breakpoints": [0, True], "values": [1]},
+    ],
+    ids=["vector-entry", "vector-pair", "step-value", "step-breakpoint"],
+)
+def test_boolean_operand_entries_exit_2(tmp_path, capsys, operand):
+    # Each of these used to be read as the number 1 and print a norm of 1.0.
+    spec = write(tmp_path / "s.json", {"kind": "trace"})
+    operand = write(tmp_path / "x.json", operand)
+    assert cli.main(["norm", spec, operand]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_arithmetic_errors_exit_3(tmp_path, capsys, monkeypatch):
     # Returning at all means main caught it: no traceback, and not exit 1,
     # which means "dominance false".

@@ -134,6 +134,44 @@ def test_simplex_matches_the_loop_reference_exactly(seed):
     np.testing.assert_array_equal(x, ref_x)
 
 
+def test_a_degenerate_pivot_hands_over_to_blands_rule():
+    # x1 and x1 + x2 tie in the ratio test, so the second pivot has step 0
+    c, B = np.array([1.0, 1.0]), np.array([[1.0, 0.0], [1.0, 1.0]])
+    value, x = simplex_max(c, B)
+    ref_value, ref_x, pivots, fell_back = loop_simplex(c, B)
+    assert fell_back and pivots == 2
+    assert value == ref_value == 1.0
+    np.testing.assert_array_equal(x, ref_x)
+
+
+def test_pivots_of_a_large_csup_dual_follow_its_rows(monkeypatch):
+    # A large-n CSup shape: 8 pieces on the 1/(4n) grid, so 16 rows at
+    # n = 512. Bland's rule alone takes 571 pivots on this LP.
+    n = 512
+    rng = np.random.default_rng(2007)
+    cuts = sorted(rng.choice(np.arange(1, 4 * n), size=7, replace=False))
+    vals = rng.uniform(0.2, 1.0, size=8)
+    vals[rng.integers(8)] = 1.0
+    bps = (Fraction(0), *(Fraction(int(k), 4 * n) for k in cuts), Fraction(1))
+    spec = gn.CSup(StepFn(bps, tuple(vals)))
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 1.0)
+    lps = []
+
+    def recording(c, B):
+        lps.append((c, B))
+        return simplex_max(c, B)
+
+    monkeypatch.setattr(gn.duality, "simplex_max", recording)
+    dual_vec(spec, x)
+    ((c, B),) = lps
+    assert B.shape == (16, n)
+    value, y = simplex_max(c, B)
+    ref_value, ref_y, pivots, _ = loop_simplex(c, B)
+    assert value == ref_value
+    np.testing.assert_array_equal(y, ref_y)
+    assert pivots <= 2 * B.shape[0]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 1.0)])
 @pytest.mark.parametrize("spec", [KyFan(Fraction(1, 2)), Lp(3)], ids=["kyfan", "lp"])
 def test_dual_rejects_non_finite_entries_like_the_primal(spec, bad):
@@ -463,3 +501,136 @@ def test_dual_matches_scipy_linprog(seed):
     )
     assert result.status == 0
     assert dual_vec(spec, x) == pytest.approx(-result.fun, rel=1e-9, abs=1e-12)
+
+
+def one_row_case(seed):
+    """A one-row spec and an operand: Ky Fan t on and off the grid, Weight
+    with many pieces, Trace and Operator; odd seeds draw tied entries."""
+    rng = np.random.default_rng(200 + seed)
+    n = (1, 2, 7, 64, 255, 512)[seed // 4]
+    kind = seed % 4
+    if kind == 0:
+        spec = KyFan(Fraction(int(rng.integers(1, 4 * n + 1)), 4 * n))
+    elif kind == 1:
+        spec = KyFan(float(rng.uniform(0.001, 1.0)))
+    elif kind == 2:
+        pieces = int(rng.integers(1, 100))
+        vals = np.sort(rng.uniform(0.1, 3.0, size=pieces))[::-1]
+        spec = Weight(StepFn(random_breakpoints(rng, pieces), tuple(vals)))
+    else:
+        spec = (Trace(), Operator())[seed // 4 % 2]
+    if seed % 2:
+        x = rng.integers(1, 4, size=n) * 10.0 ** rng.uniform(-3, 3)
+    else:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    return spec, x
+
+
+def one_row_reference(spec, n):
+    if isinstance(spec, (Trace, Operator)):
+        return [kyfan_reference_row(int(isinstance(spec, Trace)), n)]
+    return reference_rows(spec, n)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_one_row_closed_form_matches_the_lp(seed):
+    spec, x = one_row_case(seed)
+    n = x.size
+    xstar = np.sort(np.abs(x))[::-1]
+    R = spec_rows(spec, n)
+    assert R.shape[0] == 1
+    value, witness = dual_vec_full(spec, x)
+    # the simplex on the same row, scaled as _rows_dual scales it
+    B = np.cumsum(R, axis=1)
+    lp_value, _ = simplex_max(np.cumsum(xstar / xstar[0] / n), B / B.max())
+    eps = np.finfo(float).eps
+    assert value == pytest.approx(lp_value * (xstar[0] / B.max()), rel=4 * eps, abs=0)
+    assert norm_vec(spec, witness) <= 1.0 + 1e-12
+    assert float(xstar @ witness) / n == pytest.approx(value, rel=1e-12, abs=0)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    assert value == pytest.approx(
+        linprog_dual(linprog, one_row_reference(spec, n), xstar), rel=1e-9, abs=0
+    )
+
+
+def linprog_dual(linprog, rows, xstar):
+    """max (1/n) x* . y over rows @ y <= 1 and y_1 >= ... >= y_n >= 0."""
+    n = xstar.size
+    order = np.eye(n, k=1)[: n - 1] - np.eye(n)[: n - 1]
+    result = linprog(
+        -xstar / n,
+        A_ub=np.vstack([rows, order]),
+        b_ub=np.concatenate([np.ones(len(rows)), np.zeros(n - 1)]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status == 0
+    return -result.fun
+
+
+SCALE_SPECS = [KyFan(Fraction(1, 2)), Trace(), Operator(), TBracket(Fraction(3, 4))]
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1e-200, 1e200])
+@pytest.mark.parametrize(
+    "spec", SCALE_SPECS, ids=["kyfan", "trace", "operator", "tbracket"]
+)
+def test_dual_and_double_dual_are_homogeneous(spec, scale):
+    # The LP once compared reduced costs with an absolute 1e-10, so from
+    # about 1e-11 down every dual and double dual read 0.
+    x = np.array([3.0, 1.0, 0.5])
+    dual = dual_vec(spec, x)
+    primal, double = involution_check(spec, x)
+    assert dual_vec(spec, scale * x) == pytest.approx(scale * dual, rel=1e-13, abs=0)
+    scaled_primal, scaled_double = involution_check(spec, scale * x)
+    assert scaled_primal == pytest.approx(scale * primal, rel=1e-13, abs=0)
+    assert scaled_double == pytest.approx(scale * double, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-200, 1e200])
+def test_dual_of_a_scaled_weight_scales_inversely(scale):
+    # Weights near 1e-11 once failed the ratio test's absolute 1e-10 and
+    # raised "LP is unbounded".
+    def specs(a):
+        w = StepFn.from_uniform([2.0 * a, 1.0 * a])
+        return Weight(w), SupOf((w, StepFn.from_uniform([3.0 * a, 0.0])))
+
+    for unit, scaled in zip(specs(1.0), specs(scale)):
+        assert dual_vec(scaled, [3.0, 1.0]) * scale == pytest.approx(
+            dual_vec(unit, [3.0, 1.0]), rel=1e-13, abs=0
+        )
+
+
+def test_holder_bound_holds_for_tiny_operands():
+    # |||diag(1, 2)||| = 2 and |||diag(1, 2)|||^# = 1.5 for KyFan(1/2); the
+    # dual of the tiny operand once read 0, so the bound read (1e-12, 0.0).
+    big, tiny = np.diag([1.0, 2.0]), np.diag([1e-12, 5e-13])
+    for S, T, rhs_expected in ((big, tiny, 2.0 * 7.5e-13), (tiny, big, 1e-12 * 1.5)):
+        lhs, rhs = gn.holder_check(KyFan(0.5), S, T)
+        assert lhs <= rhs
+        assert rhs == pytest.approx(rhs_expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+@pytest.mark.parametrize("kind", ROW_KINDS)
+def test_scaled_dual_matches_scipy_linprog(kind, scale):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(300 + ROW_KINDS.index(kind))
+    n = 16
+    spec = random_row_spec(rng, kind)
+    x = rng.standard_normal(n)
+    expected = linprog_dual(linprog, reference_rows(spec, n), np.sort(np.abs(x))[::-1])
+    assert dual_vec(spec, scale * x) == pytest.approx(scale * expected, rel=1e-9, abs=0)
+    if kind in ("weight", "supof"):
+        fs = (spec.f,) if kind == "weight" else spec.fs
+        scaled = tuple(StepFn(f.breakpoints, tuple(scale * v for v in f.values)) for f in fs)
+        spec = Weight(scaled[0]) if kind == "weight" else SupOf(scaled)
+        assert dual_vec(spec, x) * scale == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+def test_dual_of_a_zero_weight_is_unbounded():
+    # the zero weight is no norm: its dual LP has no bound at a nonzero x
+    spec = Weight(StepFn.from_uniform([0.0, 0.0]))
+    with pytest.raises(RuntimeError, match="unbounded"):
+        dual_vec(spec, [1.0, 1.0])
+    assert dual_vec(spec, [0.0, 0.0]) == 0.0
