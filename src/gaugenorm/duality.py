@@ -19,11 +19,14 @@ dual is max_j C_j / B_j over the prefix sums B of the row and C of x*/n
 
 The rows come from ``norms.spec_rows``, the cached row matrix that also
 evaluates the primal norm; ``spec_rows`` and ``UnsupportedSpecError`` are
-re-exported here. The same rows drive vertex enumeration of norm balls
-(incremental double description on the homogenized cone). The dual ball is
-itself polyhedral: its rows are the primal ball's nonzero vertices over n.
-The double-dual involution runs the same LP on those rows, and the finite
-representation check enumerates their vertices.
+re-exported here. The same rows drive vertex enumeration of norm balls:
+incremental double description on the homogenized cone, run on rows scaled
+to a largest staircase entry of 1 with boolean tight sets for adjacency, so
+the vertices scale with the rows across the float range. The dual ball is
+itself polyhedral: its rows are the primal ball's nonzero vertices over n,
+nonzero relative to the largest vertex. The double-dual involution runs the
+same LP on those rows, and the finite representation check enumerates their
+vertices.
 """
 
 from __future__ import annotations
@@ -207,75 +210,59 @@ def ball_vertices(rows: list[np.ndarray], n: int) -> list[np.ndarray]:
     """Vertices of {y in ordered cone : r . y <= 1 for all rows r}.
 
     Works in staircase coordinates, where the ball is {lambda >= 0,
-    B lambda <= 1}, and enumerates rays of the homogenization
+    B lambda <= 1}, and enumerates the extreme rays of the homogenization
     {(lambda, s) : lambda >= 0, s >= 0, B lambda <= s 1} by incremental
-    double description with a combinatorial adjacency test. Rays with s > 0
-    descale to vertices; a ray with s = 0 would be a recession direction and
-    means the rows do not describe a norm ball.
+    double description (Motzkin et al. 1953; Fukuda & Prodon 1996). B is
+    divided by its largest entry first and the vertices are scaled back, so
+    the tolerance is relative and the ball is found at every float scale.
+    The rays are one array and their tight constraints one boolean matrix;
+    a new ray is tight where both its parents are, plus the new constraint.
+    Two rays across the new constraint are adjacent iff no third ray is
+    tight on every constraint they share, which is one matmul for all pairs.
+    Rays with s > 0 descale to vertices; a ray with s = 0 would be a
+    recession direction and means the rows do not describe a norm ball.
     """
     if n > VERTEX_DIM_CAP:
         raise ValueError(f"vertex enumeration is capped at n={VERTEX_DIM_CAP}")
+    B = np.cumsum(np.asarray(rows, dtype=float).reshape(-1, n), axis=1)
+    scale = float(B.max(initial=0.0))
+    if not scale > 0.0:
+        raise RuntimeError("unbounded ball: rows do not define a norm")
+    # constraints a . (lambda, s) <= 0 beyond nonnegativity, one per row
+    A = np.column_stack([B / scale, -np.ones(len(B))])
     d = n + 1
-    # constraints a . x <= 0: nonnegativity first, then homogenized rows
-    constraints = [-np.eye(d)[i] for i in range(d)]
-    for r in rows:
-        a = np.zeros(d)
-        a[:n] = np.cumsum(r)
-        a[n] = -1.0
-        constraints.append(a)
-
     tol = 1e-9
-    rays = [np.eye(d)[i] for i in range(d)]
-
-    def tight_mask(ray: np.ndarray, upto: int) -> int:
-        mask = 0
-        for ci in range(upto):
-            if abs(constraints[ci] @ ray) <= tol:
-                mask |= 1 << ci
-        return mask
-
-    for ci in range(d, len(constraints)):
-        a = constraints[ci]
-        vals = [float(a @ r) for r in rays]
-        keep = [r for r, v in zip(rays, vals) if v <= tol]
-        inside = [(r, v) for r, v in zip(rays, vals) if v < -tol]
-        outside = [(r, v) for r, v in zip(rays, vals) if v > tol]
-        if outside and not inside and not keep:
+    rays = np.eye(d)  # every ray is kept at a largest |entry| of 1
+    tight = ~np.eye(d, dtype=bool)  # ray i is tight on x_j >= 0 for j != i
+    for a in A:
+        vals = rays @ a
+        out, inside = vals > tol, vals < -tol
+        if out.all():
             return []  # ball is empty; cannot happen for norm rows
-        masks = [tight_mask(r, ci) for r in rays]
-        pair_masks = {id(r): m for r, m in zip(rays, masks)}
-        new_rays = []
-        for rp, vp in outside:
-            for rq, vq in inside:
-                common = pair_masks[id(rp)] & pair_masks[id(rq)]
-                adjacent = True
-                for other, om in zip(rays, masks):
-                    if other is rp or other is rq:
-                        continue
-                    if om & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                ray = vp * rq - vq * rp
-                norm = np.max(np.abs(ray))
-                if norm > tol:
-                    new_rays.append(ray / norm)
-        rays = keep + new_rays
-
-    vertices = []
-    seen = set()
-    for r in rays:
-        s = r[n]
-        if s <= tol * np.max(np.abs(r)):
-            raise RuntimeError("unbounded ball: rows do not define a norm")
-        lam = np.maximum(r[:n] / s, 0.0)
-        y = np.cumsum(lam[::-1])[::-1]
-        key = tuple(np.round(y, 9))
-        if key not in seen:
-            seen.add(key)
-            vertices.append(y)
-    return vertices
+        # adjacent rays share the d - 2 tight constraints of a 2-face
+        T_out, T_in = tight[out], tight[inside]
+        p, q = np.nonzero(T_out.astype(float) @ T_in.T.astype(float) >= d - 2)
+        common = T_out[p] & T_in[q]
+        holders = (common.astype(float) @ (~tight).T.astype(float) == 0).sum(axis=1)
+        adjacent = holders == 2
+        p, q, common = p[adjacent], q[adjacent], common[adjacent]
+        vp, vq = vals[out][p, None], vals[inside][q, None]
+        new = vp * rays[inside][q] - vq * rays[out][p]
+        norms = np.abs(new).max(axis=1)
+        big = norms > tol
+        keep = ~out
+        rays = np.vstack([rays[keep], new[big] / norms[big, None]])
+        tight = np.vstack([
+            np.column_stack([tight[keep], ~inside[keep]]),
+            np.column_stack([common[big], np.ones(int(big.sum()), dtype=bool)]),
+        ])
+    s = rays[:, n]
+    if np.any(s <= tol):
+        raise RuntimeError("unbounded ball: rows do not define a norm")
+    lam = np.maximum(rays[:, :n] / s[:, None], 0.0)
+    Y = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
+    _, first = np.unique(np.round(Y, 9), axis=0, return_index=True)
+    return list(Y[np.sort(first)] / scale)
 
 
 @lru_cache(maxsize=256)
@@ -293,10 +280,12 @@ def _dual_rows(spec: NormSpec, n: int) -> np.ndarray:
 
     The dual of a polyhedral gauge norm at y is the maximum of (1/n) v . y*
     over the primal ball's ordered vertices v, so these rows over n are the
-    dual's row matrix.
+    dual's row matrix. A vertex counts as nonzero when its largest entry
+    exceeds 1e-12 of the largest entry of any vertex, so the rows scale
+    with the ball.
     """
     V = np.maximum(np.array(_primal_vertices_cached(spec, n)), 0.0)
-    V = V[np.max(V, axis=1) > 1e-12]
+    V = V[np.max(V, axis=1) > 1e-12 * V.max()]
     if not V.size:
         raise RuntimeError("norm ball has no nonzero vertices")
     return V
