@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gaugenorm import (
 )
 from gaugenorm.duality import (
     UnsupportedSpecError,
+    _dual_rows,
     ball_vertices,
     dual_spec,
     gamma_extreme_points,
@@ -636,3 +638,95 @@ def test_dual_of_a_zero_weight_is_unbounded():
     with pytest.raises(RuntimeError, match="unbounded"):
         dual_vec(spec, [1.0, 1.0])
     assert dual_vec(spec, [0.0, 0.0]) == 0.0
+
+
+def scaled_weight(a):
+    return Weight(StepFn.from_uniform([2.0 * a, 1.0 * a, 0.5 * a]))
+
+
+def sorted_vertices(vertices):
+    return np.array(sorted(map(tuple, vertices)))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-9, 1e10, 1e150])
+def test_ball_vertices_scale_inversely_with_the_weight(scale):
+    # The double description once compared against an absolute 1e-9, so
+    # from a weight of about 1e-9 down it reported an unbounded ball.
+    unit = sorted_vertices(primal_vertices(scaled_weight(1.0), 3))
+    scaled = sorted_vertices(primal_vertices(scaled_weight(scale), 3))
+    assert len(unit) == 4
+    assert scaled * scale == pytest.approx(unit, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_double_dual_and_representation_at_extreme_weight_scales(scale):
+    # _dual_rows once dropped vertices below an absolute 1e-12, so from a
+    # weight of about 1e10 up the dual ball had no rows at all.
+    x = np.array([3.0, 1.0, 0.5])
+    unit = involution_check(scaled_weight(1.0), x)
+    scaled = involution_check(scaled_weight(scale), x)
+    assert np.array(scaled) == pytest.approx(scale * np.array(unit), rel=1e-12, abs=0)
+
+    def sup(a):
+        return SupOf((scaled_weight(a).f, StepFn.from_uniform([3.0 * a, 0.0, 0.0])))
+
+    T = np.diag([3.0, 1.0, 0.5])
+    unit = representation_check(sup(1.0), T)
+    scaled = representation_check(sup(scale), T)
+    assert unit[0] == pytest.approx(unit[1], rel=1e-12, abs=0)
+    assert np.array(scaled) == pytest.approx(scale * np.array(unit), rel=1e-12, abs=0)
+
+
+def brute_force_vertices(rows, n):
+    """Every feasible solution of n tight constraints of lambda >= 0,
+    B lambda <= 1, in ordered-cone coordinates y, without duplicates."""
+    B = np.cumsum(np.asarray(rows, dtype=float), axis=1)
+    G = np.vstack([-np.eye(n), B])
+    h = np.concatenate([np.zeros(n), np.ones(len(B))])
+    found = []
+    for subset in combinations(range(len(G)), n):
+        M = G[list(subset)]
+        if np.linalg.cond(M) > 1e10:
+            continue
+        lam = np.linalg.solve(M, h[list(subset)])
+        if np.all(G @ lam <= h + 1e-9):
+            y = np.cumsum(np.maximum(lam, 0.0)[::-1])[::-1]
+            if not any(np.max(np.abs(y - v)) <= 1e-9 for v in found):
+                found.append(y)
+    return found
+
+
+def oracle_case(seed):
+    rng = np.random.default_rng(700 + seed)
+    n = 2 + seed % 4
+    kind = ("weight", "supof", "csup", "tbracket")[seed // 4 % 4]
+    if kind == "tbracket":
+        return TBracket(Fraction(int(rng.integers(30, 61)), 60)), n
+    return random_row_spec(rng, kind), n
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_ball_vertices_match_a_brute_force_enumeration(seed):
+    spec, n = oracle_case(seed)
+    for rows in (spec_rows(spec, n), _dual_rows(spec, n) / n):
+        got = ball_vertices(rows, n)
+        expected = brute_force_vertices(rows, n)
+        assert len(got) == len(expected)
+        for v in got:
+            gaps = [np.max(np.abs(v - w)) / max(1.0, np.max(v)) for w in expected]
+            assert min(gaps) <= 1e-9
+
+
+def test_vertex_enumeration_is_capped():
+    with pytest.raises(ValueError, match="capped"):
+        ball_vertices(np.full((1, 13), 1.0 / 13), 13)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.0, 1.0]], [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+    ids=["recession-in-lambda1", "all-zero"],
+)
+def test_rows_that_leave_the_ball_unbounded_raise(rows):
+    with pytest.raises(RuntimeError, match="unbounded ball"):
+        ball_vertices(rows, len(rows[0]))
