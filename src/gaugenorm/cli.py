@@ -28,17 +28,35 @@ class CliFailure(Exception):
 
 
 def _load(path: str, parse):
-    """parse(the JSON object in path), any read or parse error exiting 2."""
+    """parse(the JSON object in path); a read or parse error exits 2.
+
+    So does a boolean anywhere in it, which no field takes and Python reads
+    as 1. Files without the words "true" and "false" hold none.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            text = fh.read()
+        obj = json.loads(text)
+        if "true" in text or "false" in text:
+            _reject_booleans(obj)
+        return parse(obj)
     except (OSError, ValueError, OverflowError) as exc:
         raise CliFailure(PARSE, f"{path}: {exc}") from exc
 
 
+def _reject_booleans(obj) -> None:
+    stack = [obj]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, bool):
+            raise ValueError(f"{json.dumps(value)} is a boolean, not a number")
+        if isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+
+
 def _vector_entry(e) -> complex:
-    if any(isinstance(v, bool) for v in (e if isinstance(e, list) else [e])):
-        raise ValueError(f"vector entry {e!r} holds a boolean, not a number")
     if isinstance(e, str):
         return complex(float(as_fraction(e)))
     if isinstance(e, (int, float)):

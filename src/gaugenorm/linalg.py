@@ -7,6 +7,9 @@ an eigensolve of T*T, which would square the condition number.
 
 Random inputs come from a self-contained splitmix64 + Box-Muller generator so
 that seeded examples are reproducible independent of numpy's stream layout.
+Random unitaries are the phase-fixed Q factor of one QR of a seeded Gaussian
+matrix, and random projections and partitions are conjugates of coordinate
+blocks by them.
 """
 
 from __future__ import annotations
@@ -156,15 +159,8 @@ def coordinate_partition(n: int, sizes: Sequence[int] | None = None) -> list[np.
         sizes = [1] * n
     if sum(sizes) != n or any(s < 1 for s in sizes):
         raise ValueError(f"block sizes {sizes} do not partition {n} coordinates")
-    out = []
-    start = 0
-    for s in sizes:
-        E = np.zeros((n, n), dtype=np.complex128)
-        for i in range(start, start + s):
-            E[i, i] = 1.0
-        out.append(E)
-        start += s
-    return out
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    return [np.diag((block == b).astype(np.complex128)) for b in range(len(sizes))]
 
 
 def polar_unitary(T: np.ndarray) -> np.ndarray:
@@ -185,32 +181,23 @@ def random_matrix(n: int, seed: int) -> np.ndarray:
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-ish unitary: modified Gram-Schmidt on a seeded Gaussian matrix."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    rng = Rng64(seed)
-    Q = np.zeros((n, n), dtype=np.complex128)
-    j = 0
-    while j < n:
-        v = np.array([rng.complex_gauss() for _ in range(n)])
-        for k in range(j):
-            v -= (Q[:, k].conj() @ v) * Q[:, k]
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:  # essentially-dependent draw; take a fresh one
-            continue
-        Q[:, j] = v / norm
-        j += 1
-    return Q
+    """Haar unitary: the Q factor of a seeded Gaussian matrix (Mezzadri 2007).
+
+    The rows of ``random_matrix(n, seed)`` are factored as the columns of
+    QR, and the phases of R's diagonal are divided out of Q, so the result
+    is the Gram-Schmidt orthonormalization of those rows.
+    """
+    Q, R = np.linalg.qr(random_matrix(n, seed).T)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
 
 
 def random_projection(n: int, k: int, seed: int) -> np.ndarray:
-    """Rank-k orthogonal projection: unitary conjugate of a coordinate one."""
+    """Rank-k orthogonal projection onto the first k columns of a unitary."""
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} outside 0..{n}")
-    U = random_unitary(n, seed)
-    P = np.zeros((n, n), dtype=np.complex128)
-    P[:k, :k] = np.eye(k)
-    return U @ P @ U.conj().T
+    U = random_unitary(n, seed)[:, :k]
+    return U @ U.conj().T
 
 
 def random_partition(n: int, seed: int) -> list[np.ndarray]:

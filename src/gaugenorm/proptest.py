@@ -19,6 +19,38 @@ from .linalg import Rng64
 from .norms import norm_mat
 from .stepfn import StepFn
 
+
+def _as_json(value):
+    """A witness field as JSON; operands are converted only on failure."""
+    if isinstance(value, np.ndarray):
+        return linalg.matrix_to_json(value) if value.ndim == 2 else value.tolist()
+    if isinstance(value, norms.NormSpec):
+        return norms.spec_to_json(value)
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    return value
+
+
+class _Tally:
+    """Pass counts and failure witnesses of one suite.
+
+    A check passes only when its value is <= its bound, so a NaN fails. A
+    failure appends {"check": name, **fields}, its fields made JSON then.
+    """
+
+    def __init__(self, *names: str) -> None:
+        self.passes = dict.fromkeys(names, 0)
+        self.witnesses: list[dict] = []
+
+    def check(self, name: str, value, bound, **fields) -> None:
+        if value <= bound:
+            self.passes[name] += 1
+        else:
+            self.witnesses.append(
+                {"check": name, **{k: _as_json(v) for k, v in fields.items()}}
+            )
+
+
 def random_weight_fn(n: int, rng: Rng64, normalized: bool = False) -> StepFn:
     """A random nonincreasing nonnegative weight on the uniform n-partition.
 
@@ -102,9 +134,13 @@ def check_norm_axioms(
 
     Runs the triangle inequality, absolute homogeneity, two-sided unitary
     invariance, the bounded-multiplier bound |||ATB||| <= ||A|| |||T||| ||B||,
-    the normalized sandwich, and positivity-monotonicity. Failures become
-    report entries with witnesses, not exceptions.
+    the normalized sandwich, and positivity-monotonicity. A check passes
+    when its margin is <= 0, so a NaN fails. Failures become report entries,
+    not exceptions: each failing check keeps the operands of its first or
+    worst failure, converted to JSON only then.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = Rng64(seed)
     unit = norms.identity_norm(spec, n)
     checks: dict[str, dict] = {
@@ -119,41 +155,34 @@ def check_norm_axioms(
         )
     }
 
-    def record(name: str, margin: float, witness) -> None:
+    def record(name: str, margin: float, **operands) -> None:
         entry = checks[name]
         if margin <= 0:
             entry["pass"] += 1
-        else:
-            entry["fail"] += 1
-            if margin > entry["worst"]:
-                entry["worst"] = margin
-                entry["witness"] = witness
+            return
+        entry["fail"] += 1
+        if entry["witness"] is None or margin > entry["worst"]:
+            entry["worst"] = margin
+            entry["witness"] = {k: _as_json(v) for k, v in operands.items()}
 
     for _ in range(trials):
         S = linalg.random_matrix(n, rng.next_u64())
         T = linalg.random_matrix(n, rng.next_u64())
         nS, nT = norm_mat(spec, S), norm_mat(spec, T)
 
-        record(
-            "triangle",
-            norm_mat(spec, S + T) - (nS + nT) - 1e-9,
-            {"S": linalg.matrix_to_json(S), "T": linalg.matrix_to_json(T)},
-        )
+        record("triangle", norm_mat(spec, S + T) - (nS + nT) - 1e-9, S=S, T=T)
 
         c = 2.0 * rng.gauss()
         record(
             "homogeneity",
             abs(norm_mat(spec, c * T) - abs(c) * nT) - 1e-9 * max(1.0, abs(c)),
-            {"c": c, "T": linalg.matrix_to_json(T)},
+            c=c,
+            T=T,
         )
 
         U = linalg.random_unitary(n, rng.next_u64())
         V = linalg.random_unitary(n, rng.next_u64())
-        record(
-            "unitary_invariance",
-            abs(norm_mat(spec, U @ T @ V) - nT) - 1e-8,
-            {"T": linalg.matrix_to_json(T)},
-        )
+        record("unitary_invariance", abs(norm_mat(spec, U @ T @ V) - nT) - 1e-8, T=T)
 
         A = linalg.random_matrix(n, rng.next_u64())
         B = linalg.random_matrix(n, rng.next_u64())
@@ -161,26 +190,21 @@ def check_norm_axioms(
         record(
             "multiplier_bound",
             norm_mat(spec, A @ T @ B) - bound - 1e-8 * max(1.0, bound),
-            {"T": linalg.matrix_to_json(T)},
+            T=T,
         )
 
         scaled = nT / unit
         record(
             "sandwich",
-            max(
-                linalg.trace_norm(T) - scaled,
-                scaled - linalg.operator_norm(T),
-            )
+            max(linalg.trace_norm(T) - scaled, scaled - linalg.operator_norm(T))
             - 1e-10,
-            {"T": linalg.matrix_to_json(T)},
+            T=T,
         )
 
         low = S.conj().T @ S
         high = low + T.conj().T @ T
         record(
-            "monotonicity",
-            norm_mat(spec, low) - norm_mat(spec, high) - 1e-9,
-            {"S": linalg.matrix_to_json(S), "T": linalg.matrix_to_json(T)},
+            "monotonicity", norm_mat(spec, low) - norm_mat(spec, high) - 1e-9, S=S, T=T
         )
 
     return {
@@ -204,6 +228,8 @@ def not_convex_combination(t: float, trials: int = 100, seed: int = 0) -> dict:
     [0, 1/2], so matching the mixture's derivative pins both parts piecewise,
     which is why no genuine split can appear.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if not 0.5 <= t <= 1.0:
         raise ValueError(f"bracket parameter {t} outside [1/2, 1]")
     target = extreme2.profile_of(norms.TBracket(t))
@@ -266,139 +292,106 @@ def _battery(n: int, seed: int) -> list[norms.NormSpec]:
 
 def _suite_axioms(seed: int, trials: int) -> tuple[dict, list]:
     n = 4
+    tally = _Tally("axioms")
     reports = []
-    witnesses = []
     for i, spec in enumerate(_battery(n, seed)):
         rep = check_norm_axioms(spec, n=n, trials=trials, seed=seed + i)
+        failures = {
+            name: entry["fail"] for name, entry in rep["checks"].items() if entry["fail"]
+        }
         reports.append(
-            {
-                "spec": rep["spec"],
-                "passed": rep["passed"],
-                "failures": {
-                    name: entry["fail"]
-                    for name, entry in rep["checks"].items()
-                    if entry["fail"]
-                },
-            }
+            {"spec": rep["spec"], "passed": rep["passed"], "failures": failures}
         )
-        if not rep["passed"]:
-            witnesses.append(rep)
-    return {"n": n, "specs": reports}, witnesses
+        tally.check("axioms", sum(failures.values()), 0, **rep)
+    return {"n": n, "specs": reports}, tally.witnesses
 
 
 def _suite_duality(seed: int, trials: int) -> tuple[dict, list]:
     n = 4
     rng = Rng64(seed ^ 0xD0A1)
     specs = [s for s in _battery(n, seed) if not isinstance(s, norms.Lp)]
-    checks = {"involution": 0, "kyfan_closed_form": 0, "holder": 0}
-    witnesses = []
+    tally = _Tally("involution", "kyfan_closed_form", "holder")
     rounds = max(1, trials // 10)
     for _ in range(rounds):
         x = np.array([rng.gauss() for _ in range(n)])
         for spec in specs:
             primal, double = duality.involution_check(spec, x)
-            if abs(primal - double) > 1e-8:
-                witnesses.append(
-                    {
-                        "check": "involution",
-                        "spec": norms.spec_to_json(spec),
-                        "x": x.tolist(),
-                        "primal": primal,
-                        "double_dual": double,
-                    }
-                )
-            else:
-                checks["involution"] += 1
+            tally.check(
+                "involution",
+                abs(primal - double),
+                1e-8,
+                spec=spec,
+                x=x,
+                primal=primal,
+                double_dual=double,
+            )
         k = 1 + rng.next_u64() % n
         t = Fraction(int(k), n)
         lp_value = duality.dual_vec(norms.KyFan(t), x)
         xs = np.sort(np.abs(x))[::-1]
         closed = max(float(t) * xs[0], float(np.mean(xs)))
-        if abs(lp_value - closed) > 1e-8:
-            witnesses.append(
-                {
-                    "check": "kyfan_closed_form",
-                    "t": str(t),
-                    "x": x.tolist(),
-                    "lp": lp_value,
-                    "closed_form": closed,
-                }
-            )
-        else:
-            checks["kyfan_closed_form"] += 1
+        tally.check(
+            "kyfan_closed_form",
+            abs(lp_value - closed),
+            1e-8,
+            t=str(t),
+            x=x,
+            lp=lp_value,
+            closed_form=closed,
+        )
         S = linalg.random_matrix(n, rng.next_u64())
         T = linalg.random_matrix(n, rng.next_u64())
         for spec in specs:
             lhs, rhs = duality.holder_check(spec, S, T)
-            if lhs > rhs + 1e-8:
-                witnesses.append(
-                    {
-                        "check": "holder",
-                        "spec": norms.spec_to_json(spec),
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-                )
-            else:
-                checks["holder"] += 1
-    return {"n": n, "rounds": rounds, "passes": checks}, witnesses
+            tally.check("holder", lhs, rhs + 1e-8, spec=spec, lhs=lhs, rhs=rhs)
+    return {"n": n, "rounds": rounds, "passes": tally.passes}, tally.witnesses
 
 
 def _suite_dominance(seed: int, trials: int) -> tuple[dict, list]:
     n = 5
     rng = Rng64(seed ^ 0xD011)
     specs = _battery(4, seed)[:8]
-    witnesses = []
+    tally = _Tally("transfer")
     styles = ("contraction", "unitary_mix", "pinch")
     pairs = max(1, trials // 3)
     for i in range(pairs):
         T, S = majorization_pair(n, rng, styles[i % 3])
         report = dominance.dominance_transfer(T, S, specs)
-        if not report["passed"]:
-            witnesses.append(
-                {
-                    "check": "transfer",
-                    "style": styles[i % 3],
-                    "T": linalg.matrix_to_json(T),
-                    "S": linalg.matrix_to_json(S),
-                    "report": report,
-                }
-            )
-    return {"n": n, "pairs": pairs}, witnesses
+        tally.check(
+            "transfer",
+            sum(not entry["ok"] for entry in report["specs"]),
+            0,
+            style=styles[i % 3],
+            T=T,
+            S=S,
+            report=report,
+        )
+    return {"n": n, "pairs": pairs}, tally.witnesses
 
 
 def _suite_extreme2(seed: int, trials: int) -> tuple[dict, list]:
     rng = Rng64(seed ^ 0xE2)
-    witnesses = []
+    tally = _Tally("round_trip", "extremality")
     rounds = max(1, trials // 2)
     for _ in range(rounds):
         prof = random_admissible_profile(rng)
         mu = extreme2.decompose(prof)
         back = extreme2.reconstruct(mu)
         err = max(abs(back(k) - v) for k, v in zip(prof.knots, prof.values))
-        if err > 1e-10:
-            witnesses.append(
-                {
-                    "check": "round_trip",
-                    "profile": prof.to_json(),
-                    "measure": mu.to_json(),
-                    "error": err,
-                }
-            )
+        tally.check("round_trip", err, 1e-10, profile=prof, measure=mu, error=err)
     extremality = [
         not_convex_combination(t, trials=max(1, trials // 5), seed=seed)
         for t in (0.5, 0.65, 0.8, 1.0)
     ]
     for rep in extremality:
-        if not rep["extreme"]:
-            witnesses.append({"check": "extremality", "report": rep})
+        tally.check("extremality", rep["violation"], 0, report=rep)
     summary = {
         "round_trips": rounds,
         "extremality": [
             {"t": r["t"], "extreme": r["extreme"]} for r in extremality
         ],
     }
-    return summary, witnesses
+    return summary, tally.witnesses
 
 
 SUITES = {

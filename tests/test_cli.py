@@ -94,8 +94,17 @@ def test_boolean_spec_parameters_exit_2(tmp_path, capsys, spec):
         {"x": [[True, 0], 1]},
         {"breakpoints": [0, 1], "values": [True]},
         {"breakpoints": [0, True], "values": [1]},
+        {"n": 1, "entries": [[[True, 0]]]},
+        {"n": 1, "entries": [[[1, False]]]},
     ],
-    ids=["vector-entry", "vector-pair", "step-value", "step-breakpoint"],
+    ids=[
+        "vector-entry",
+        "vector-pair",
+        "step-value",
+        "step-breakpoint",
+        "matrix-real",
+        "matrix-imag",
+    ],
 )
 def test_boolean_operand_entries_exit_2(tmp_path, capsys, operand):
     # Each of these used to be read as the number 1 and print a norm of 1.0.
@@ -212,8 +221,20 @@ def test_decompose_inadmissible_profile_exits_6(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "profile",
-    [{"knots": [0, 1], "values": [10**400, 1]}, {"p": 10**400}, 5],
-    ids=["pl-value-past-float-range", "lp-p-past-float-range", "not-an-object"],
+    [
+        {"knots": [0, 1], "values": [10**400, 1]},
+        {"p": 10**400},
+        5,
+        {"knots": [0, True], "values": [0.5, 1]},
+        {"knots": [0, 1], "values": [0.5, True]},
+    ],
+    ids=[
+        "pl-value-past-float-range",
+        "lp-p-past-float-range",
+        "not-an-object",
+        "boolean-knot",
+        "boolean-value",
+    ],
 )
 def test_decompose_malformed_profile_exits_2(tmp_path, capsys, profile):
     prof = write(tmp_path / "p.json", profile)

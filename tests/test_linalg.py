@@ -152,11 +152,44 @@ def test_random_unitary_is_unitary(seed):
     np.testing.assert_allclose(U.conj().T @ U, np.eye(5), atol=1e-10)
 
 
+def _gram_schmidt_unitary(n: int, seed: int) -> np.ndarray:
+    """Modified Gram-Schmidt on the rows of the seeded stream, as it once was."""
+    rng = Rng64(seed)
+    Q = np.zeros((n, n), dtype=np.complex128)
+    j = 0
+    while j < n:
+        v = np.array([rng.complex_gauss() for _ in range(n)])
+        for k in range(j):
+            v -= (Q[:, k].conj() @ v) * Q[:, k]
+        norm = np.linalg.norm(v)
+        if norm < 1e-8:
+            continue
+        Q[:, j] = v / norm
+        j += 1
+    return Q
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_unitary_is_the_gram_schmidt_of_its_draws(n):
+    # One QR with R's diagonal phases divided out gives the same unitary as
+    # Gram-Schmidt on the same draws, so every seeded input keeps its value.
+    for seed in range(50):
+        U = random_unitary(n, seed)
+        np.testing.assert_allclose(U, _gram_schmidt_unitary(n, seed), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(U.conj().T @ U, np.eye(n), rtol=0, atol=1e-13)
+
+
 def test_random_projection_is_projection_of_given_rank():
-    P = random_projection(5, 2, 31)
-    np.testing.assert_allclose(P @ P, P, atol=1e-10)
-    np.testing.assert_allclose(P, P.conj().T, atol=1e-10)
-    assert np.trace(P).real == pytest.approx(2.0, abs=1e-9)
+    cases = [(5, 2, 31)] + [
+        (n, k, seed)
+        for n, k in [(1, 0), (1, 1), (4, 0), (4, 1), (4, 3), (6, 6), (7, 2)]
+        for seed in range(10)
+    ]
+    for n, k, seed in cases:
+        P = random_projection(n, k, seed)
+        np.testing.assert_allclose(P, P.conj().T, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(P @ P, P, rtol=0, atol=1e-13)
+        assert np.trace(P) == pytest.approx(k, abs=1e-12)
 
 
 def test_coordinate_partition_block_sizes():
@@ -164,6 +197,9 @@ def test_coordinate_partition_block_sizes():
     assert len(parts) == 2
     np.testing.assert_allclose(sum(parts), np.eye(5))
     validate_partition(parts, 5)
+    np.testing.assert_array_equal(parts[0], np.diag([1, 1, 0, 0, 0]))
+    for i, E in enumerate(coordinate_partition(3)):
+        np.testing.assert_array_equal(E, np.diag(np.eye(3)[i]))
     with pytest.raises(ValueError):
         coordinate_partition(5, [2, 2])
 
