@@ -31,14 +31,12 @@ def _load(path: str, parse):
     """parse(the JSON object in path); a read or parse error exits 2.
 
     So does a boolean anywhere in it, which no field takes and Python reads
-    as 1. Files without the words "true" and "false" hold none.
+    as 1.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        obj = json.loads(text)
-        if "true" in text or "false" in text:
-            _reject_booleans(obj)
+            obj = json.load(fh)
+        _reject_booleans(obj)
         return parse(obj)
     except (OSError, ValueError, OverflowError) as exc:
         raise CliFailure(PARSE, f"{path}: {exc}") from exc
