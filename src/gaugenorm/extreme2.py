@@ -327,9 +327,11 @@ def lp_density_check(p: float, s_grid=None) -> float:
     p = float(p)
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 11)
-    errors = [
-        abs(_lp_integral(p, s, _TS_U, _TS_W) - _fp(p, s)) for s in map(float, s_grid)
-    ]
+    errors = []
+    for s in map(float, s_grid):
+        if not 0 <= s <= 1:
+            raise ValueError(f"density check point {s} outside [0,1]")
+        errors.append(abs(_lp_integral(p, s, _TS_U, _TS_W) - _fp(p, s)))
     return float(np.max(errors, initial=0.0))
 
 

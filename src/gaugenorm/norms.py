@@ -1,18 +1,22 @@
 """Norm families on step functions, vectors, and matrices.
 
 Every norm here is a symmetric gauge norm of the nonincreasing rearrangement
-of its argument. Every kind but ``Lp`` is polyhedral: on the ordered cone
-y_1 >= ... >= y_n >= 0 it is the largest of a few linear functionals r . y,
-the weighted Ky Fan norms of the representation theorem. ``spec_rows``
-builds those functionals for one dimension as a single read-only row matrix,
-exactly against the grid k/n and cached on (spec, n); vectors (sorted
-magnitudes) and matrices (s-numbers) are evaluated through it, and the dual
-LP and vertex enumeration in ``duality`` share it. ``Lp`` has a closed form.
+of its argument. Every kind but ``Lp`` is polyhedral, a finite case of the
+representation theorem: the largest of its Ky Fan cuts (c, t), each c times
+the Ky Fan t-norm (t = 0 is the operator norm), and of its weights' pairings
+with the rearranged argument. Operator and KyFanZero are the cut (1, 0),
+Trace is (1, 1), TBracket(t) is (t, 0) and (1, 1), a CSup has one cut per
+piece with c > 0, at the piece's left end, and Weight and SupOf are weights.
+``spec_rows`` turns these pieces into one read-only row matrix, exactly
+against the grid k/n and cached on (spec, n); vectors (sorted magnitudes) and
+matrices (s-numbers) are evaluated through it, and the dual LP and vertex
+enumeration in ``duality`` share it. ``Lp`` has a closed form.
 
-``norm_step`` is the exact reference for general step functions: it works
-through the ``Fraction`` rearrangement and pairing of ``stepfn`` and is not on
-the vector or matrix path. The tests hold the two routes together. Random
-weights and the axiom checker of the property runs are in ``proptest``.
+``norm_step`` is the exact reference for general step functions: it evaluates
+the same pieces through the ``Fraction`` rearrangement and pairing of
+``stepfn`` and is not on the vector or matrix path. The tests hold the two
+routes together. Random weights and the axiom checker of the property runs
+are in ``proptest``.
 """
 
 from __future__ import annotations
@@ -197,6 +201,30 @@ def _weight_row(w: StepFn, n: int) -> np.ndarray:
     return r
 
 
+def _pieces(
+    spec: NormSpec,
+) -> tuple[list[tuple[float, Fraction | float]], tuple[StepFn, ...]]:
+    """A polyhedral spec as its Ky Fan cuts [(c, t), ...] and its weights.
+
+    A CSup piece [lo, hi) gives the one cut (c, lo): K_t falls as t grows.
+    """
+    if isinstance(spec, (Operator, KyFanZero)):
+        return [(1.0, 0)], ()
+    if isinstance(spec, Trace):
+        return [(1.0, 1)], ()
+    if isinstance(spec, KyFan):
+        return [(1.0, spec.t)], ()
+    if isinstance(spec, Weight):
+        return [], (spec.f,)
+    if isinstance(spec, SupOf):
+        return [], spec.fs
+    if isinstance(spec, TBracket):
+        return [(float(spec.t), 0), (1.0, 1)], ()
+    if isinstance(spec, CSup):
+        return [(cv, lo) for lo, _, cv in spec.c.intervals() if cv > 0.0], ()
+    raise UnsupportedSpecError(f"{type(spec).__name__} has no polyhedral rows")
+
+
 @lru_cache(maxsize=256)
 def spec_rows(spec: NormSpec, n: int) -> np.ndarray:
     """Linear pieces of a polyhedral norm on the ordered cone in R^n.
@@ -205,28 +233,10 @@ def spec_rows(spec: NormSpec, n: int) -> np.ndarray:
     ``spec_rows(spec, n) @ y``. The result is one read-only (rows, n) array,
     cached on (spec, n) and shared by every caller.
     """
-    if isinstance(spec, (Operator, KyFanZero)):
-        rows = [_kyfan_row(0, n)]
-    elif isinstance(spec, Trace):
-        rows = [np.full(n, 1.0 / n)]
-    elif isinstance(spec, KyFan):
-        rows = [_kyfan_row(spec.t, n)]
-    elif isinstance(spec, Weight):
-        rows = [_weight_row(spec.f, n)]
-    elif isinstance(spec, SupOf):
-        rows = [_weight_row(w, n) for w in spec.fs]
-    elif isinstance(spec, TBracket):
-        rows = [float(spec.t) * _kyfan_row(0, n), np.full(n, 1.0 / n)]
-    elif isinstance(spec, CSup):
-        rows = []
-        for lo, hi, cv in spec.c.intervals():
-            if cv <= 0.0:
-                continue
-            rows.append(cv * _kyfan_row(lo, n))
-            rows.append(cv * _kyfan_row(hi, n))
-    else:
-        raise UnsupportedSpecError(f"{type(spec).__name__} has no polyhedral rows")
-    R = np.array(rows)
+    cuts, weights = _pieces(spec)
+    R = np.array(
+        [c * _kyfan_row(t, n) for c, t in cuts] + [_weight_row(w, n) for w in weights]
+    )
     R.flags.writeable = False
     return R
 
@@ -257,38 +267,12 @@ def norm_step(spec: NormSpec, f: StepFn) -> float:
     level-set masses and the pairings integrate over merged breakpoints.
     """
     g = rearrange(f.abs())
-    return _norm_of_rearranged(spec, g)
-
-
-def _norm_of_rearranged(spec: NormSpec, g: StepFn) -> float:
-    if isinstance(spec, (Operator, KyFanZero)):
-        return g.values[0]
-    if isinstance(spec, Trace):
-        return g.integral()
     if isinstance(spec, Lp):
         lengths = [float(hi - lo) for lo, hi, _ in g.intervals()]
         return power_mean(np.array(g.values), float(spec.p), lengths)
-    if isinstance(spec, KyFan):
-        return _kyfan_of_rearranged(g, spec.t)
-    if isinstance(spec, Weight):
-        return pairing(spec.f, g)
-    if isinstance(spec, SupOf):
-        return max(pairing(w, g) for w in spec.fs)
-    if isinstance(spec, TBracket):
-        return max(float(spec.t) * g.values[0], g.integral())
-    if isinstance(spec, CSup):
-        best = 0.0
-        for lo, hi, cv in spec.c.intervals():
-            # the Ky Fan value is nonincreasing in t, so the supremum over
-            # [lo, hi] sits at lo; the right endpoint is evaluated as well to
-            # guard the right-continuity convention of the profile.
-            best = max(
-                best,
-                cv * _kyfan_of_rearranged(g, lo),
-                cv * _kyfan_of_rearranged(g, hi),
-            )
-        return best
-    raise TypeError(f"unknown norm spec {spec!r}")
+    cuts, weights = _pieces(spec)
+    values = [c * _kyfan_of_rearranged(g, t) for c, t in cuts]
+    return max(values + [pairing(w, g) for w in weights])
 
 
 def sorted_magnitudes(x) -> np.ndarray:
@@ -339,7 +323,7 @@ def weight_norm_as_kyfan_combo(
     weight norm equals sum_k k(a_k - a_{k+1})/n times the Ky Fan (k/n)-norm
     (a_{n+1} = 0). Zero coefficients are dropped.
     """
-    step = f.inner if isinstance(f, WeightFn) else Weight(f).f
+    step = Weight(f).f
     if not step.is_uniform():
         raise ValueError("weight must sit on a uniform partition; refine first")
     a = list(step.values) + [0.0]

@@ -147,7 +147,7 @@ def test_a_degenerate_pivot_hands_over_to_blands_rule():
 
 
 def test_pivots_of_a_large_csup_dual_follow_its_rows(monkeypatch):
-    # A large-n CSup shape: 8 pieces on the 1/(4n) grid, so 16 rows at
+    # A large-n CSup shape: 8 pieces on the 1/(4n) grid, so 8 rows at
     # n = 512. Bland's rule alone takes 571 pivots on this LP.
     n = 512
     rng = np.random.default_rng(2007)
@@ -166,7 +166,7 @@ def test_pivots_of_a_large_csup_dual_follow_its_rows(monkeypatch):
     monkeypatch.setattr(gn.duality, "simplex_max", recording)
     dual_vec(spec, x)
     ((c, B),) = lps
-    assert B.shape == (16, n)
+    assert B.shape == (8, n)
     value, y = simplex_max(c, B)
     ref_value, ref_y, pivots, _ = loop_simplex(c, B)
     assert value == ref_value
@@ -431,10 +431,9 @@ def reference_rows(spec, n):
         return [kyfan_reference_row(spec.t, n)]
     assert isinstance(spec, gn.CSup)
     return [
-        [cv * r for r in kyfan_reference_row(t, n)]
-        for lo, hi, cv in spec.c.intervals()
+        [cv * r for r in kyfan_reference_row(lo, n)]
+        for lo, _, cv in spec.c.intervals()
         if cv > 0.0
-        for t in (lo, hi)
     ]
 
 
@@ -568,6 +567,44 @@ def linprog_dual(linprog, rows, xstar):
     )
     assert result.status == 0
     return -result.fun
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_csup_left_ends_give_the_whole_norm_and_ball(seed):
+    # One row per piece with c > 0, at its left end: K_t falls as t grows,
+    # so the right-end row c * K_hi adds nothing on the ordered cone.
+    rng = np.random.default_rng(700 + seed)
+    n = (1, 2, 3, 7, 16, 64)[seed // 4]
+    pieces = int(rng.integers(1, 8))
+    vals = rng.uniform(0.0, 1.0, size=pieces)
+    vals[rng.random(pieces) < 0.3] = 0.0
+    vals[rng.integers(pieces)] = 1.0
+    spec = gn.CSup(StepFn(random_breakpoints(rng, pieces), tuple(vals)))
+    if seed % 2:
+        x = rng.integers(1, 4, size=n) * 10.0 ** rng.uniform(-3, 3)
+    else:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    xstar = np.sort(np.abs(x))[::-1]
+
+    # sup over t of c(t) (1/t) int_0^t x*, on c's breakpoints and a t grid
+    bps = np.array([float(b) for b in spec.c.breakpoints])
+    t = np.union1d(bps, np.linspace(0.0, 1.0, 1000))
+    c = vals[np.minimum(np.searchsorted(bps, t, side="right") - 1, pieces - 1)]
+    heads = np.concatenate([[0.0], np.cumsum(xstar)]) / n
+    head = np.interp(t, np.arange(n + 1) / n, heads)
+    kyfan = np.concatenate([[xstar[0]], head[1:] / t[1:]])  # t[0] = 0 reads x*_1
+    assert norm_vec(spec, x) == pytest.approx(np.max(c * kyfan), rel=1e-12, abs=0)
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    both_ends = [
+        [cv * r for r in kyfan_reference_row(end, n)]
+        for lo, hi, cv in spec.c.intervals()
+        if cv > 0.0
+        for end in (lo, hi)
+    ]
+    expected = linprog_dual(linprog, both_ends, xstar)
+    assert dual_vec(spec, x) == pytest.approx(expected, rel=1e-9, abs=0)
+    assert spec_rows(spec, n).shape[0] == np.count_nonzero(vals > 0.0)
 
 
 SCALE_SPECS = [KyFan(Fraction(1, 2)), Trace(), Operator(), TBracket(Fraction(3, 4))]

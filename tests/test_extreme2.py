@@ -261,6 +261,14 @@ def test_lp_density_identity_at_huge_p():
     assert lp_density_check(1e6) <= 1e-6
 
 
+@pytest.mark.parametrize("s", (2.0, -0.5, float("nan")))
+def test_lp_density_check_rejects_points_outside_the_unit_interval(s):
+    # the identity is the profile's only on [0, 1]: at 2.0 the rule still
+    # agrees with f_p to roundoff, which must not read as a pass
+    with pytest.raises(ValueError, match="outside"):
+        lp_density_check(2.0, [0.5, s])
+
+
 @pytest.mark.parametrize("p", (1.01, 1.5, 3.0, 10.0))
 @pytest.mark.parametrize("s", (0.0, 0.3, 0.5, 1.0))
 def test_lp_integral_matches_scipy_quad(p, s):
