@@ -31,7 +31,6 @@ def tracing():
 
 
 def test_every_traced_name_is_callable_in_its_module(tracing):
-    assert set(tracing.TRACED) <= set(tracing.MODULES)
     missing = []
     for module, names in tracing.TRACED.items():
         home = importlib.import_module(f"gaugenorm.{module}")
