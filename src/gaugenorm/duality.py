@@ -21,7 +21,7 @@ The rows come from ``norms.spec_rows``, the cached row matrix that also
 evaluates the primal norm; ``spec_rows`` and ``UnsupportedSpecError`` are
 re-exported here. The same rows drive vertex enumeration of norm balls:
 incremental double description on the homogenized cone, run on rows scaled
-to a largest staircase entry of 1 with boolean tight sets for adjacency, so
+to a largest staircase entry of 1 with 0/1 tight sets for adjacency, so
 the vertices scale with the rows across the float range. The dual ball is
 itself polyhedral: its rows are the primal ball's nonzero vertices over n,
 nonzero relative to the largest vertex. The double-dual involution runs the
@@ -82,10 +82,11 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
         if reduced[enter] >= -PIVOT_TOL:
             break
         leave = -1
-        best = np.inf
-        for i in range(m):
-            if tab[i, enter] > PIVOT_TOL:
-                ratio = tab[i, -1] / tab[i, enter]
+        best = math.inf
+        # Python floats divide like float64, and skip numpy scalar indexing
+        for i, (a, r) in enumerate(zip(tab[:m, enter].tolist(), tab[:m, -1].tolist())):
+            if a > PIVOT_TOL:
+                ratio = r / a
                 if ratio < best - 1e-15 or (
                     abs(ratio - best) <= 1e-15
                     and (leave < 0 or basis[i] < basis[leave])
@@ -215,12 +216,13 @@ def ball_vertices(rows: list[np.ndarray], n: int) -> list[np.ndarray]:
     double description (Motzkin et al. 1953; Fukuda & Prodon 1996). B is
     divided by its largest entry first and the vertices are scaled back, so
     the tolerance is relative and the ball is found at every float scale.
-    The rays are one array and their tight constraints one boolean matrix;
-    a new ray is tight where both its parents are, plus the new constraint.
+    The rays are one array and their tight constraints one 0/1 matrix, a
+    column per constraint; a new ray is tight where both its parents are,
+    plus the new constraint, and a row no ray crosses only fills its column.
     Two rays across the new constraint are adjacent iff no third ray is
     tight on every constraint they share, which is one matmul for all pairs.
-    Rays with s > 0 descale to vertices; a ray with s = 0 would be a
-    recession direction and means the rows do not describe a norm ball.
+    Rays with s > 0 descale to vertices, first occurrences kept; a ray with
+    s = 0 is a recession direction: the rows do not describe a norm ball.
     """
     if n > VERTEX_DIM_CAP:
         raise ValueError(f"vertex enumeration is capped at n={VERTEX_DIM_CAP}")
@@ -233,17 +235,21 @@ def ball_vertices(rows: list[np.ndarray], n: int) -> list[np.ndarray]:
     d = n + 1
     tol = 1e-9
     rays = np.eye(d)  # every ray is kept at a largest |entry| of 1
-    tight = ~np.eye(d, dtype=bool)  # ray i is tight on x_j >= 0 for j != i
-    for a in A:
+    tight = np.hstack([1.0 - rays, np.zeros((d, len(A)))])  # x_j >= 0, j != i
+    for k, a in enumerate(A, start=d):
         vals = rays @ a
         out, inside = vals > tol, vals < -tol
         if out.all():
             return []  # ball is empty; cannot happen for norm rows
-        # adjacent rays share the d - 2 tight constraints of a 2-face
+        tight[:, k] = ~inside
+        if not out.any():
+            continue
+        # adjacent rays share the d - 2 tight constraints of a 2-face (column
+        # k is 1 on out rays and 0 on inside ones, so it adds to no product)
         T_out, T_in = tight[out], tight[inside]
-        p, q = np.nonzero(T_out.astype(float) @ T_in.T.astype(float) >= d - 2)
-        common = T_out[p] & T_in[q]
-        holders = (common.astype(float) @ (~tight).T.astype(float) == 0).sum(axis=1)
+        p, q = np.nonzero(T_out @ T_in.T >= d - 2)
+        common = T_out[p] * T_in[q]
+        holders = (common @ (1.0 - tight).T == 0).sum(axis=1)
         adjacent = holders == 2
         p, q, common = p[adjacent], q[adjacent], common[adjacent]
         vp, vq = vals[out][p, None], vals[inside][q, None]
@@ -251,18 +257,19 @@ def ball_vertices(rows: list[np.ndarray], n: int) -> list[np.ndarray]:
         norms = np.abs(new).max(axis=1)
         big = norms > tol
         keep = ~out
-        rays = np.vstack([rays[keep], new[big] / norms[big, None]])
-        tight = np.vstack([
-            np.column_stack([tight[keep], ~inside[keep]]),
-            np.column_stack([common[big], np.ones(int(big.sum()), dtype=bool)]),
-        ])
+        common = common[big]
+        common[:, k] = 1.0
+        rays = np.concatenate([rays[keep], new[big] / norms[big, None]])
+        tight = np.concatenate([tight[keep], common])
     s = rays[:, n]
     if np.any(s <= tol):
         raise RuntimeError("unbounded ball: rows do not define a norm")
     lam = np.maximum(rays[:, :n] / s[:, None], 0.0)
     Y = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
-    _, first = np.unique(np.round(Y, 9), axis=0, return_index=True)
-    return list(Y[np.sort(first)] / scale)
+    first = {}  # rounded vertex -> index of its first occurrence
+    for i, key in enumerate(map(tuple, np.round(Y, 9).tolist())):
+        first.setdefault(key, i)
+    return list(Y[list(first.values())] / scale)
 
 
 @lru_cache(maxsize=256)

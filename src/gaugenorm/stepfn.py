@@ -148,10 +148,11 @@ class StepFn:
 
 
 def check_weight_values(vals: Sequence[float]) -> None:
-    """Reject step values that are negative or increase, beyond VALUE_TOL."""
-    if any(v < -VALUE_TOL for v in vals):
+    """Reject negative or rising step values, beyond VALUE_TOL times the largest."""
+    tol = VALUE_TOL * max(map(abs, vals), default=0.0)
+    if any(v < -tol for v in vals):
         raise ValueError("weight values must be nonnegative")
-    if any(nxt > cur + VALUE_TOL for cur, nxt in zip(vals, vals[1:])):
+    if any(nxt > cur + tol for cur, nxt in zip(vals, vals[1:])):
         raise ValueError("weight values must be nonincreasing")
 
 

@@ -330,3 +330,12 @@ def test_proptest_failure_dumps_witnesses(tmp_path, capsys, monkeypatch):
     assert json.loads(captured.out)["passed"] is False
     dumped = json.loads(witness_file.read_text())
     assert dumped and dumped[0]["suite"] == "axioms"
+
+
+def test_dominance_of_a_halved_tiny_matrix_exits_1(tmp_path, capsys):
+    # T = S/2 at S = diag(2e-11, 0) once passed an absolute slack and exited 0
+    s = write(tmp_path / "s.json", diag_json(2e-11, 0))
+    t = write(tmp_path / "t.json", diag_json(1e-11, 0))
+    code, out = run(capsys, ["dominance", s, t])
+    assert code == 1
+    assert json.loads(out)["violating_k"] == 1

@@ -105,3 +105,43 @@ def test_certificate_partial_sums_match_s_numbers(seed):
     np.testing.assert_allclose(
         cert["partial_sums_T"], np.cumsum(gn.s_numbers(T)), atol=1e-12
     )
+
+
+SCALES = [1e-200, 1e-100, 1e-11, 1e-9, 1.0, 1e10, 1e100, 1e200]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_a_halved_matrix_never_dominates_at_any_scale(scale):
+    # An absolute 1e-10 slack once let T = S/2 dominate S = diag(2a, 0) from
+    # about a = 1e-11 down, and dominance_transfer then passed Trace and
+    # Operator although S has twice T's norm in both.
+    S = np.diag([2.0 * scale, 0.0])
+    ok, cert = kyfan_dominates(S / 2.0, S)
+    assert not ok and cert["violating_k"] == 1
+    with pytest.raises(ValueError):
+        dominance_transfer(S / 2.0, S, battery(2))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_a_contraction_pair_dominates_at_every_scale(scale):
+    # S = T K with ||K|| <= 1 gives s_k(S) <= s_k(T) for every k
+    T = scale * gn.random_matrix(4, 11)
+    K = 0.9 * gn.random_unitary(4, 12) @ np.diag([1.0, 0.8, 0.5, 0.0])
+    S = T @ K
+    ok, _ = kyfan_dominates(T, S)
+    assert ok
+    report = dominance_transfer(T, S, battery(4))
+    assert report["passed"], report
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e10])
+def test_a_unitary_conjugate_dominates_at_large_scale(scale):
+    # U S U* has the same s-numbers as S. With an absolute slack, roundoff
+    # in the partial sums reported it as not dominating S in 40/50 seeds at
+    # 1e6 and 28/50 at 1e10.
+    for seed in range(50):
+        S = scale * gn.random_matrix(6, seed)
+        U = gn.random_unitary(6, 1000 + seed)
+        T = U @ S @ U.conj().T
+        ok, cert = kyfan_dominates(T, S)
+        assert ok, (seed, cert)

@@ -767,3 +767,71 @@ def test_vertex_enumeration_is_capped():
 def test_rows_that_leave_the_ball_unbounded_raise(rows):
     with pytest.raises(RuntimeError, match="unbounded ball"):
         ball_vertices(rows, len(rows[0]))
+
+
+def boolean_ball_vertices(rows, n):
+    """ball_vertices written with boolean tight sets, vstack and np.unique,
+    as the exact reference for its vertices and their order."""
+    B = np.cumsum(np.asarray(rows, dtype=float).reshape(-1, n), axis=1)
+    scale = float(B.max(initial=0.0))
+    A = np.column_stack([B / scale, -np.ones(len(B))])
+    d = n + 1
+    tol = 1e-9
+    rays = np.eye(d)
+    tight = ~np.eye(d, dtype=bool)
+    for a in A:
+        vals = rays @ a
+        out, inside = vals > tol, vals < -tol
+        T_out, T_in = tight[out], tight[inside]
+        p, q = np.nonzero(T_out.astype(float) @ T_in.T.astype(float) >= d - 2)
+        common = T_out[p] & T_in[q]
+        holders = (common.astype(float) @ (~tight).T.astype(float) == 0).sum(axis=1)
+        adjacent = holders == 2
+        p, q, common = p[adjacent], q[adjacent], common[adjacent]
+        vp, vq = vals[out][p, None], vals[inside][q, None]
+        new = vp * rays[inside][q] - vq * rays[out][p]
+        norms = np.abs(new).max(axis=1)
+        big = norms > tol
+        keep = ~out
+        rays = np.vstack([rays[keep], new[big] / norms[big, None]])
+        tight = np.vstack([
+            np.column_stack([tight[keep], ~inside[keep]]),
+            np.column_stack([common[big], np.ones(int(big.sum()), dtype=bool)]),
+        ])
+    s = rays[:, n]
+    lam = np.maximum(rays[:, :n] / s[:, None], 0.0)
+    Y = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
+    _, first = np.unique(np.round(Y, 9), axis=0, return_index=True)
+    return list(Y[np.sort(first)] / scale)
+
+
+def assert_same_vertices(got, expected):
+    assert len(got) == len(expected)
+    for v, w in zip(got, expected):
+        assert np.array_equal(v, w)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ("weight", "supof", "csup", "tbracket"))
+def test_ball_vertices_match_the_boolean_reference_exactly(kind, n):
+    rng = np.random.default_rng(900 + 10 * n + len(kind))
+    for _ in range(3):
+        if kind == "tbracket":
+            spec = TBracket(Fraction(int(rng.integers(30, 61)), 60))
+        else:
+            spec = random_row_spec(rng, kind)
+        for rows in (spec_rows(spec, n), _dual_rows(spec, n) / n):
+            assert_same_vertices(ball_vertices(rows, n), boolean_ball_vertices(rows, n))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_redundant_row_leaves_the_vertices_unchanged(n):
+    # w / 2 . y <= 1 holds on all of w's ball, so no ray crosses that row
+    rng = np.random.default_rng(40 + n)
+    w = random_row_spec(rng, "weight").f
+    w_half = StepFn(w.breakpoints, tuple(v / 2.0 for v in w.values))
+    rows = spec_rows(SupOf((w, w_half)), n)
+    assert rows.shape[0] == 2
+    got = ball_vertices(rows, n)
+    assert_same_vertices(got, ball_vertices(spec_rows(Weight(w), n), n))
+    assert_same_vertices(got, boolean_ball_vertices(rows, n))

@@ -164,6 +164,17 @@ def test_weight_rejects_bad_weights_but_allows_large_mean():
     assert norm_vec(Weight(halves(4.0, 3.0)), [1.0, 1.0]) == pytest.approx(3.5)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e200])
+def test_weight_check_is_scale_free(scale):
+    # An absolute 1e-12 once accepted the increasing weight (1e-150, 3e-150),
+    # whose "norm" has N(e1) + N(e2) = 1e-150 < N(e1 + e2) = 2e-150.
+    for bad in ([scale, 3.0 * scale], [scale, -0.5 * scale]):
+        with pytest.raises(ValueError):
+            Weight(StepFn.from_uniform(bad))
+    # a roundoff-sized rise relative to the values still passes
+    Weight(StepFn.from_uniform([scale, scale * (1.0 + 1e-14)]))
+
+
 def test_supof_takes_the_largest_member():
     spec = SupOf((halves(2.0, 0.0), halves(1.0, 1.0)))
     # top-half pairing 2*3/2 = 3 versus full mean 2
