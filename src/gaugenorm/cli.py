@@ -96,11 +96,7 @@ def _seed(args) -> int:
 
 def cmd_snumbers(args) -> int:
     T = _load(args.matrix, linalg.matrix_from_json)
-    try:
-        mu = linalg.mu_step(T)
-    except ValueError as exc:
-        raise CliFailure(NUMERICAL, str(exc)) from exc
-    _emit({"s": linalg.s_numbers(T).tolist(), "mu": mu.to_json()})
+    _emit({"s": linalg.s_numbers(T).tolist(), "mu": linalg.mu_step(T).to_json()})
     return 0
 
 
@@ -147,11 +143,6 @@ def cmd_dominance(args) -> int:
 
 def cmd_decompose(args) -> int:
     prof = _load(args.profile, extreme2.Profile.from_json)
-    violations = extreme2.admissibility_violations(prof)
-    if violations:
-        raise CliFailure(
-            INVARIANT, f"profile is not admissible: fails {violations[0]}"
-        )
     _emit(extreme2.decompose(prof).to_json())
     return 0
 
@@ -242,10 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Checked in order, so a subclass comes before its base: UnsupportedSpecError
-# and numpy's LinAlgError are both ValueErrors.
+# Checked in order, so a subclass comes before its base: UnsupportedSpecError,
+# InadmissibleProfileError and numpy's LinAlgError are all ValueErrors, and
+# FloatingPointError (s-number overflow) is an ArithmeticError.
 EXIT_CODES = (
     (duality.UnsupportedSpecError, UNSUPPORTED_DUAL),
+    (extreme2.InadmissibleProfileError, INVARIANT),
     (RuntimeError, NUMERICAL),
     (np.linalg.LinAlgError, NUMERICAL),
     (ArithmeticError, NUMERICAL),

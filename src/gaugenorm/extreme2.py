@@ -9,9 +9,9 @@ directions, and ``lp_density_check`` verifies the integral form of the same
 decomposition for the Lp family.
 
 ``profile_of`` gives a polyhedral spec's profile exactly, as the upper
-envelope of its rows on M2; only Lp profiles are a closed form. Random
-admissible profiles and the extremality check of the bracket norms are in
-``proptest``.
+envelope of its rows on M2; only Lp profiles are a closed form.
+``decompose`` raises on an inadmissible profile, and ``is_extreme``
+decides extremality through it. Random admissible profiles are in ``proptest``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .stepfn import as_fraction
 
 ADMISSIBLE_TOL = 1e-12
 ATOM_TOL = 1e-13
+
+
+class InadmissibleProfileError(ValueError):
+    """A piecewise-linear profile that no normalized norm on M2 has."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class Profile:
         if not 0 <= s <= 1:
             raise ValueError(f"profile argument {s} outside [0,1]")
         if self.kind == "lp":
-            return ((1.0 + s**self.p) / 2.0) ** (1.0 / self.p)
+            return _fp(self.p, s)
         ks, vs = self.knots, self.values
         i = max(0, min(np.searchsorted(ks, s, side="right") - 1, len(ks) - 2))
         w = (s - ks[i]) / (ks[i + 1] - ks[i])
@@ -172,7 +176,11 @@ def _slope_tols(p: Profile) -> list[float]:
 
 
 def admissibility_violations(p: Profile) -> list[str]:
-    """Which profile invariants fail, as human-readable names."""
+    """Which profile invariants fail, as human-readable names.
+
+    Both equivalent characterizations, the sandwich and f(1) = 1 with
+    f'(1-) <= 1/2 for convex nondecreasing f, are checked: fails closed.
+    """
     if p.kind == "lp":
         return []
     out = []
@@ -196,17 +204,6 @@ def admissibility_violations(p: Profile) -> list[str]:
     return out
 
 
-def check_admissible(p: Profile) -> bool:
-    """Whether p is the profile of some normalized norm on M2.
-
-    The two equivalent characterizations (sandwich between (1+s)/2 and 1
-    versus endpoint conditions f(1)=1, f'(1-) <= 1/2, for convex
-    nondecreasing f) are both evaluated; admissibility requires the
-    conjunction, so disagreement inside tolerance fails closed.
-    """
-    return not admissibility_violations(p)
-
-
 def decompose(p: Profile) -> AtomicMeasure:
     """Write a piecewise-linear admissible profile as a mixture of extremes.
 
@@ -214,13 +211,16 @@ def decompose(p: Profile) -> AtomicMeasure:
     alpha_0 on t=1/2, weight alpha_i - alpha_{i-1} on t=(1+x_i)/2 for each
     interior knot x_i, and weight 1 - alpha_last on t=1. The knot of
     max(t, (1+s)/2) then lands on x_i and the mixture's slopes telescope to
-    match p piece by piece.
+    match p piece by piece. An inadmissible profile raises
+    ``InadmissibleProfileError``.
     """
     if p.kind != "pl":
         raise ValueError("decompose expects a piecewise-linear profile")
     violations = admissibility_violations(p)
     if violations:
-        raise ValueError(f"profile is not admissible: fails {violations[0]}")
+        raise InadmissibleProfileError(
+            f"profile is not admissible: fails {violations[0]}"
+        )
     alphas = [min(max(2.0 * s, 0.0), 1.0) for s in p.slopes()]
     # Each alpha carries the slope roundoff of its segment, so a flat
     # cutoff leaks phantom atoms next to short segments (an atom near t=1
@@ -252,6 +252,18 @@ def decompose(p: Profile) -> AtomicMeasure:
         t_last, w_last = atoms[-1]
         atoms[-1] = (t_last, w_last + carry)
     return AtomicMeasure(tuple(atoms))
+
+
+def is_extreme(spec: NormSpec) -> bool:
+    """Whether a normalized polyhedral spec is an extreme point of N(M2).
+
+    The extreme profiles are the brackets max(t, (1+s)/2), and ``decompose``
+    writes an admissible profile as the unique mixture of them. So the spec
+    is extreme exactly when that mixture has one atom. A spec that is not
+    normalized raises ``InadmissibleProfileError``; an Lp spec raises
+    ``ValueError``, its profile not being piecewise linear.
+    """
+    return len(decompose(profile_of(spec)).atoms) == 1
 
 
 def reconstruct(mu: AtomicMeasure) -> Profile:

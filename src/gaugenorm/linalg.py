@@ -112,8 +112,13 @@ def s_numbers(T: np.ndarray) -> np.ndarray:
     The SVD works on T itself rather than on T*T, so small s-numbers keep
     their accuracy relative to the largest, and LAPACK's scaling keeps
     entries near the ends of the float range from over- or underflowing.
+    An s-number past the float range raises ``FloatingPointError``; the max
+    catches NaN too, which some complex overflows give instead of inf.
     """
-    return np.linalg.svd(np.asarray(T, dtype=np.complex128), compute_uv=False)
+    s = np.linalg.svd(np.asarray(T, dtype=np.complex128), compute_uv=False)
+    if not math.isfinite(s.max()):
+        raise FloatingPointError("s-numbers overflow the float range")
+    return s
 
 
 def mu_step(T: np.ndarray) -> StepFn:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dominance, duality, extreme2, linalg, norms
-from .extreme2 import AtomicMeasure, Profile
+from .extreme2 import Profile
 from .linalg import Rng64
 from .norms import norm_mat
 from .stepfn import StepFn
@@ -219,49 +219,6 @@ def check_norm_axioms(
     }
 
 
-def not_convex_combination(t: float, trials: int = 100, seed: int = 0) -> dict:
-    """Extremality evidence for the bracket norm at t.
-
-    Draws random admissible profiles f1 (from two-atom mixtures) and mixing
-    weights alpha, forms the complementary part f2 = (f - alpha f1)/(1-alpha)
-    against the bracket profile f, and classifies each trial: f2 inadmissible
-    (the candidate split is infeasible) or f2 admissible with f1 = f2 = f
-    forced. The slopes of f are 0 then 1/2; any admissible part has slopes in
-    [0, 1/2], so matching the mixture's derivative pins both parts piecewise,
-    which is why no genuine split can appear.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if not 0.5 <= t <= 1.0:
-        raise ValueError(f"bracket parameter {t} outside [1/2, 1]")
-    target = extreme2.profile_of(norms.TBracket(t))
-    rng = Rng64(seed)
-    counts = {"infeasible": 0, "forced_equal": 0, "violation": 0}
-    for _ in range(trials):
-        alpha = 0.05 + 0.9 * rng.uniform()
-        t1 = 0.5 + 0.5 * rng.uniform()
-        t2 = 0.5 + 0.5 * rng.uniform()
-        w = rng.uniform()
-        f1 = extreme2.reconstruct(AtomicMeasure(((t1, w), (t2, 1.0 - w))))
-        knots = sorted(set(target.knots) | set(f1.knots))
-        f2_vals = [
-            (target(x) - alpha * f1(x)) / (1.0 - alpha) for x in knots
-        ]
-        f2 = Profile.piecewise_linear(knots, f2_vals)
-        if not extreme2.check_admissible(f2):
-            counts["infeasible"] += 1
-        elif max(abs(f1(x) - target(x)) for x in knots) <= 1e-9:
-            counts["forced_equal"] += 1
-        else:
-            counts["violation"] += 1
-    return {
-        "t": t,
-        "trials": trials,
-        **counts,
-        "extreme": counts["violation"] == 0,
-    }
-
-
 # ---------------------------------------------------------------------------
 # suites: each returns (summary, witnesses), and passes when there are none
 
@@ -382,17 +339,12 @@ def _suite_extreme2(seed: int, trials: int) -> tuple[dict, list]:
         err = max(abs(back(k) - v) for k, v in zip(prof.knots, prof.values))
         tally.check("round_trip", err, 1e-10, profile=prof, measure=mu, error=err)
     extremality = [
-        not_convex_combination(t, trials=max(1, trials // 5), seed=seed)
+        {"t": t, "extreme": extreme2.is_extreme(norms.TBracket(t))}
         for t in (0.5, 0.65, 0.8, 1.0)
     ]
     for rep in extremality:
-        tally.check("extremality", int(not rep["extreme"]), 0, report=rep)
-    summary = {
-        "round_trips": rounds,
-        "extremality": [
-            {"t": r["t"], "extreme": r["extreme"]} for r in extremality
-        ],
-    }
+        tally.check("extremality", int(not rep["extreme"]), 0, t=rep["t"])
+    summary = {"round_trips": rounds, "extremality": extremality}
     return summary, tally.witnesses
 
 

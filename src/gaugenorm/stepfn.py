@@ -222,9 +222,10 @@ def rearrange(f: StepFn) -> StepFn:
 
 
 def equimeasurable(f: StepFn, g: StepFn) -> bool:
-    """Whether f and g have identical rearrangements (values within 1e-12)."""
+    """Whether f and g have identical rearrangements, up to VALUE_TOL relative."""
     rf, rg = refine(rearrange(f), rearrange(g))
-    return all(abs(a - b) <= VALUE_TOL for a, b in zip(rf.values, rg.values))
+    tol = VALUE_TOL * max(map(abs, rf.values + rg.values))
+    return all(abs(a - b) <= tol for a, b in zip(rf.values, rg.values))
 
 
 def pairing(f: StepFn, g: StepFn) -> float:

@@ -197,6 +197,29 @@ def test_dominance_of_equal_inputs_has_zero_margins(tmp_path, capsys):
     assert report["partial_sums_S"] == pytest.approx(report["partial_sums_T"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["snumbers", "{m}"],
+        ["norm", "{spec}", "{m}"],
+        ["norm", "--dual", "{spec}", "{m}"],
+        ["dominance", "{m}", "{m}"],
+    ],
+    ids=["snumbers", "norm", "norm-dual", "dominance"],
+)
+def test_s_number_overflow_exits_3(tmp_path, capsys, argv):
+    # Every entry 1e308 parses, but s_1 = 2e308 overflows.
+    big = {"n": 2, "entries": [[[1e308, 0.0]] * 2] * 2}
+    files = {
+        "m": write(tmp_path / "m.json", big),
+        "spec": write(tmp_path / "s.json", {"kind": "trace"}),
+    }
+    assert cli.main([arg.format(**files) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_dominance_dimension_mismatch_exits_5(tmp_path, capsys):
     a = write(tmp_path / "a.json", diag_json(1, 1))
     b = write(tmp_path / "b.json", diag_json(1, 1, 1))
@@ -216,7 +239,11 @@ def test_decompose_round_trip(tmp_path, capsys):
 def test_decompose_inadmissible_profile_exits_6(tmp_path, capsys):
     prof = write(tmp_path / "p.json", {"knots": [0, 1], "values": [0.3, 1.0]})
     assert cli.main(["decompose", prof]) == 6
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: profile is not admissible: fails left derivative at 1 exceeds 1/2\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from gaugenorm import extreme2 as ex2
 from gaugenorm import (
     CSup,
     KyFan,
+    KyFanZero,
     Lp,
     Operator,
     StepFn,
@@ -25,16 +26,21 @@ from gaugenorm import (
 )
 from gaugenorm.extreme2 import (
     AtomicMeasure,
+    InadmissibleProfileError,
     Profile,
     admissibility_violations,
-    check_admissible,
     decompose,
+    is_extreme,
     lp_density_check,
     profile_csv,
     profile_of,
     reconstruct,
 )
-from gaugenorm.proptest import not_convex_combination, random_admissible_profile
+from gaugenorm.proptest import (
+    random_admissible_profile,
+    random_supof_fns,
+    random_weight_fn,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -138,7 +144,7 @@ def test_specs_with_equal_profiles_agree_on_matrices(seed):
 
 
 def test_admissibility_names_the_broken_invariant():
-    assert check_admissible(profile_of(TBracket(0.6)))
+    assert admissibility_violations(profile_of(TBracket(0.6))) == []
     assert admissibility_violations(Profile.lp(3)) == []
     drops = Profile.piecewise_linear([0.0, 0.5, 1.0], [1.0, 0.9, 1.0])
     assert "nondecreasing" in admissibility_violations(drops)
@@ -224,7 +230,7 @@ def test_reconstructed_mixtures_are_admissible(seed):
     t1, t2 = 0.5 + 0.5 * rng.uniform(), 0.5 + 0.5 * rng.uniform()
     w = rng.uniform()
     prof = reconstruct(AtomicMeasure(((t1, w), (t2, 1.0 - w))))
-    assert check_admissible(prof)
+    assert admissibility_violations(prof) == []
 
 
 def test_profile_matches_bracket_mixture_norms():
@@ -316,15 +322,76 @@ def test_lp_profile_spot_value():
 
 @pytest.mark.parametrize("t", [0.5, 0.65, 0.8, 1.0])
 def test_bracket_norms_are_extreme(t):
-    report = not_convex_combination(t, trials=60, seed=2)
-    assert report["extreme"]
-    assert report["violation"] == 0
-    assert report["infeasible"] + report["forced_equal"] == 60
+    assert is_extreme(TBracket(t))
 
 
-def test_not_convex_combination_rejects_bad_t():
-    with pytest.raises(ValueError):
-        not_convex_combination(0.25)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Operator(),
+        Trace(),
+        KyFanZero(),
+        KyFan(Fraction(1, 2)),
+        KyFan(1),
+        TBracket(Fraction(2, 3)),
+    ],
+    ids=repr,
+)
+def test_named_extreme_norms_are_extreme(spec):
+    assert is_extreme(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [KyFan(0.7), Weight(StepFn.from_uniform([1.5, 0.5]))],
+    ids=repr,
+)
+def test_is_extreme_rejects_mixtures(spec):
+    assert not is_extreme(spec)
+
+
+def test_is_extreme_raises_off_normalized_polyhedral_specs():
+    with pytest.raises(ValueError) as lp:
+        is_extreme(Lp(2))
+    assert not isinstance(lp.value, InadmissibleProfileError)
+    with pytest.raises(InadmissibleProfileError):
+        is_extreme(Weight(StepFn.from_uniform([1.0, 0.5])))
+
+
+def _random_normalized_spec(rng):
+    # Weight and SupOf at n = 2 and 4, KyFan at a float t, TBracket, CSup.
+    kind = rng.next_u64() % 5
+    if kind == 0:
+        return Weight(random_weight_fn(2 + 2 * (rng.next_u64() % 2), rng, True))
+    if kind == 1:
+        n, count = 2 + 2 * (rng.next_u64() % 2), 2 + rng.next_u64() % 3
+        return SupOf(random_supof_fns(n, rng, count, normalized=True))
+    if kind == 2:
+        return KyFan(rng.uniform())
+    if kind == 3:
+        return TBracket(0.5 + 0.5 * rng.uniform())
+    cut = Fraction(1 + rng.next_u64() % 7, 8)
+    c = [1.0, rng.uniform()]
+    if rng.next_u64() % 2:
+        c.reverse()
+    return CSup(StepFn((Fraction(0), cut, Fraction(1)), tuple(c)))
+
+
+def test_is_extreme_matches_the_bracket_characterization():
+    # The extreme points of N(M2) are the brackets max(t, (1+s)/2), and t
+    # is then f(0); so a spec is extreme iff its profile is that bracket.
+    rng = gn.Rng64(12)
+    grid = np.linspace(0.0, 1.0, 1001)
+    verdicts = []
+    for _ in range(1500):
+        spec = _random_normalized_spec(rng)
+        prof = profile_of(spec)
+        values = np.interp(grid, prof.knots, prof.values)
+        bracket = np.maximum(prof.values[0], (1.0 + grid) / 2.0)
+        expected = bool(np.max(np.abs(values - bracket)) <= 1e-12)
+        assert is_extreme(spec) == expected, spec
+        verdicts.append(expected)
+    assert 500 <= sum(verdicts) <= 1000
 
 
 def test_profile_csv_contains_knots():

@@ -108,6 +108,14 @@ def test_s_numbers_of_huge_entries_stay_finite():
     np.testing.assert_allclose(s, 1e200 * s_numbers(T), rtol=1e-12)
 
 
+@pytest.mark.parametrize("entry", [1e308, 1.7e308 + 1e308j], ids=["inf", "nan"])
+def test_s_numbers_past_the_float_range_raise(entry):
+    # s_1 of the all-equal 2x2 matrix is 2|entry|: inf for a real entry,
+    # NaN for this complex one.
+    with pytest.raises(FloatingPointError):
+        s_numbers(np.full((2, 2), entry, dtype=np.complex128))
+
+
 def test_trace_norm_of_tiny_entries_is_positive():
     T = random_matrix(3, 9)
     assert trace_norm(1e-170 * T) > 0

@@ -25,6 +25,8 @@ from gaugenorm import (
     norm_step,
     norm_vec,
 )
+from gaugenorm.dominance import kyfan_dominates
+from gaugenorm.duality import dual_mat
 from gaugenorm.norms import spec_from_json, spec_rows, spec_to_json
 
 vectors = st.lists(
@@ -302,3 +304,18 @@ def test_axiom_checker_passes_for_a_normalized_spec():
         "monotonicity",
     }
     assert all(entry["fail"] == 0 for entry in report["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda T: norm_mat(Trace(), T),
+        lambda T: dual_mat(Trace(), T),
+        lambda T: kyfan_dominates(T, T),
+    ],
+    ids=["norm_mat", "dual_mat", "kyfan_dominates"],
+)
+def test_s_number_overflow_raises_floating_point_error(evaluate):
+    # Every entry 1e308 gives s_1 = 2e308, past the float range.
+    with pytest.raises(FloatingPointError):
+        evaluate(np.full((2, 2), 1e308, dtype=np.complex128))

@@ -18,12 +18,6 @@ def test_check_norm_axioms_rejects_trials_below_one(trials):
         proptest.check_norm_axioms(Trace(), trials=trials)
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_not_convex_combination_rejects_trials_below_one(trials):
-    with pytest.raises(ValueError):
-        proptest.not_convex_combination(0.75, trials=trials)
-
-
 def _frobenius_squared(spec, X):
     return float(np.sum(np.abs(X) ** 2))
 

@@ -111,6 +111,19 @@ def test_equal_moments_iff_equimeasurable_for_permutations(vals, rnd):
         assert mf == pytest.approx(mg, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e-12, 1.0, 1e13, 1e150, 1e200])
+def test_equimeasurable_is_scale_free(scale):
+    # A value twice another is never within tolerance, however small both
+    # are, and a relative difference of 1e-15 always is, however large.
+    assert not equimeasurable(
+        StepFn.from_uniform([scale, 0.0]), StepFn.from_uniform([2 * scale, 0.0])
+    )
+    assert equimeasurable(
+        StepFn.from_uniform([1e13 * scale, scale]),
+        StepFn.from_uniform([scale, 1e13 * scale * (1 + 1e-15)]),
+    )
+
+
 def test_perturbation_breaks_equimeasurability_and_a_moment():
     f = StepFn.from_uniform([3.0, 2.0, 1.0])
     g = StepFn.from_uniform([3.0, 2.5, 1.0])
