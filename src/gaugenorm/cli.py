@@ -21,25 +21,20 @@ from .stepfn import StepFn, as_fraction
 PARSE, NUMERICAL, UNSUPPORTED_DUAL, DIM_MISMATCH, INVARIANT = 2, 3, 4, 5, 6
 
 
-class CliFailure(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _load(path: str, parse):
     """parse(the JSON object in path); a read or parse error exits 2.
 
     So does a boolean anywhere in it, which no field takes and Python reads
-    as 1.
+    as 1, and a value of the wrong JSON type, on which parse raises
+    ``TypeError``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
         _reject_booleans(obj)
         return parse(obj)
-    except (OSError, ValueError, OverflowError) as exc:
-        raise CliFailure(PARSE, f"{path}: {exc}") from exc
+    except (OSError, ValueError, OverflowError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _reject_booleans(obj) -> None:
@@ -90,7 +85,7 @@ def _seed(args) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise CliFailure(PARSE, f"bad GAUGENORM_SEED {env!r}") from exc
+            raise ValueError(f"bad GAUGENORM_SEED {env!r}") from exc
     return args.seed
 
 
@@ -106,11 +101,11 @@ def cmd_norm(args) -> int:
         print(extreme2.profile_csv(extreme2.profile_of(spec)), end="")
         return 0
     if args.operand is None:
-        raise CliFailure(PARSE, "an operand file is required without --profile")
+        raise ValueError("an operand file is required without --profile")
     operand = _load(args.operand, _operand)
     if args.dual:
         if isinstance(operand, StepFn):
-            raise CliFailure(PARSE, "--dual expects a vector or matrix operand")
+            raise ValueError("--dual expects a vector or matrix operand")
         if operand.ndim == 2:
             primal = norms.norm_mat(spec, operand)
             value, witness = duality.dual_vec_full(spec, linalg.s_numbers(operand))
@@ -132,10 +127,6 @@ def cmd_norm(args) -> int:
 def cmd_dominance(args) -> int:
     S = _load(args.matrix_s, linalg.matrix_from_json)
     T = _load(args.matrix_t, linalg.matrix_from_json)
-    if S.shape != T.shape:
-        raise CliFailure(
-            DIM_MISMATCH, f"dimension mismatch: {S.shape[0]} vs {T.shape[0]}"
-        )
     verdict, certificate = dominance.kyfan_dominates(T, S)
     _emit(certificate)
     return 0 if verdict else 1
@@ -148,15 +139,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_lpcheck(args) -> int:
-    if not 1 < args.p < np.inf:
-        raise CliFailure(PARSE, f"lpcheck needs a finite p > 1, got {args.p}")
-    if args.grid < 1:
-        raise CliFailure(PARSE, f"lpcheck needs --grid >= 1, got {args.grid}")
-    grid = np.linspace(0.0, 1.0, args.grid)
-    try:
-        err = extreme2.lp_density_check(args.p, grid)
-    except ValueError as exc:
-        raise CliFailure(NUMERICAL, str(exc)) from exc
+    err = extreme2.lp_density_check(args.p, np.linspace(0.0, 1.0, args.grid))
     ok = err <= 1e-6
     _emit({"p": args.p, "grid_points": args.grid, "max_error": err, "ok": ok})
     return 0 if ok else NUMERICAL
@@ -164,8 +147,6 @@ def cmd_lpcheck(args) -> int:
 
 def cmd_proptest(args) -> int:
     seed = _seed(args)
-    if args.trials < 1:
-        raise CliFailure(PARSE, f"proptest needs --trials >= 1, got {args.trials}")
     names = list(proptest.SUITES) if args.suite == "all" else [args.suite]
     report, witnesses = proptest.run(names, seed, args.trials)
     _emit(report)
@@ -233,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Checked in order, so a subclass comes before its base: UnsupportedSpecError,
-# InadmissibleProfileError and numpy's LinAlgError are all ValueErrors, and
-# FloatingPointError (s-number overflow) is an ArithmeticError.
+# The one exception-to-exit-code map. It is checked in order, so each subclass
+# of ValueError (the first three, and numpy's LinAlgError) comes before it.
 EXIT_CODES = (
     (duality.UnsupportedSpecError, UNSUPPORTED_DUAL),
     (extreme2.InadmissibleProfileError, INVARIANT),
+    (dominance.DimensionMismatchError, DIM_MISMATCH),
     (RuntimeError, NUMERICAL),
     (np.linalg.LinAlgError, NUMERICAL),
     (ArithmeticError, NUMERICAL),
@@ -250,10 +231,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliFailure, *(kind for kind, _ in EXIT_CODES)) as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CliFailure):
-            return exc.code
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 

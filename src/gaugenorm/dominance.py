@@ -9,6 +9,9 @@ Random dominated pairs for the property runs are drawn in ``proptest``.
 
 from __future__ import annotations
 
+import math
+from itertools import accumulate
+
 import numpy as np
 
 from . import linalg
@@ -18,6 +21,10 @@ HYPOTHESIS_SLACK = 1e-10
 CONCLUSION_SLACK = 1e-9
 
 
+class DimensionMismatchError(ValueError):
+    """Two operands that must share a shape do not."""
+
+
 def kyfan_dominates(T: np.ndarray, S: np.ndarray) -> tuple[bool, dict]:
     """Whether T dominates S in every Ky Fan norm, with a certificate.
 
@@ -25,12 +32,16 @@ def kyfan_dominates(T: np.ndarray, S: np.ndarray) -> tuple[bool, dict]:
     k (1-based) when the verdict is negative. The hypothesis side gets 1e-10
     slack times the larger s_1, so roundoff cannot manufacture a spurious
     violation when the partial sums genuinely dominate, at any scale.
+    Partial sums past the float range raise ``FloatingPointError``.
     """
     if T.shape != S.shape:
-        raise ValueError(f"dimension mismatch: {S.shape} vs {T.shape}")
-    sums_S = np.cumsum(linalg.s_numbers(S)).tolist()
-    sums_T = np.cumsum(linalg.s_numbers(T)).tolist()
-    slack = HYPOTHESIS_SLACK * max(sums_S[:1] + sums_T[:1], default=0.0)  # s_1
+        raise DimensionMismatchError(f"dimension mismatch: {S.shape} vs {T.shape}")
+    # Python floats, added in np.cumsum's order, overflow without a warning.
+    sums_S = list(accumulate(linalg.s_numbers(S).tolist()))
+    sums_T = list(accumulate(linalg.s_numbers(T).tolist()))
+    if not math.isfinite(max(sums_S[-1], sums_T[-1])):
+        raise FloatingPointError("Ky Fan partial sums overflow the float range")
+    slack = HYPOTHESIS_SLACK * max(sums_S[0], sums_T[0])  # s_1
     violating = None
     for k, (a, b) in enumerate(zip(sums_S, sums_T), start=1):
         if a > b + slack:

@@ -332,10 +332,10 @@ def lp_density_check(p: float, s_grid=None) -> float:
     f_p'' at t = 1/2 (for 1 < p < 2) peeled off in closed form; see
     ``_lp_integral``. Integration by parts makes the integral equal f_p(s)
     exactly, so the returned float, the max over s of the distance to f_p(s),
-    is the quadrature error.
+    is the quadrature error. p outside (1, inf) or an empty grid: ValueError.
     """
-    if not p > 1:
-        raise ValueError(f"density check needs p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ValueError(f"density check needs a finite p > 1, got {p}")
     p = float(p)
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 11)
@@ -344,7 +344,9 @@ def lp_density_check(p: float, s_grid=None) -> float:
         if not 0 <= s <= 1:
             raise ValueError(f"density check point {s} outside [0,1]")
         errors.append(abs(_lp_integral(p, s, _TS_U, _TS_W) - _fp(p, s)))
-    return float(np.max(errors, initial=0.0))
+    if not errors:
+        raise ValueError("density check needs at least one grid point")
+    return float(np.max(errors))
 
 
 def profile_csv(p: Profile, points: int = 101) -> str:

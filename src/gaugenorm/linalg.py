@@ -68,15 +68,6 @@ def tau(T: np.ndarray) -> complex:
     return complex(np.trace(T)) / T.shape[0]
 
 
-def as_matrix(entries) -> np.ndarray:
-    A = np.asarray(entries, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
-        raise ValueError("matrix entries must be finite")
-    return A
-
-
 def matrix_to_json(T: np.ndarray) -> dict:
     return {
         "n": T.shape[0],
@@ -103,7 +94,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         ) from exc
     if A.shape != (n, n):
         raise ValueError(f"entry grid {A.shape} does not match n={n}")
-    return as_matrix(A)
+    # json.load accepts NaN and Infinity.
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite")
+    return A
 
 
 def s_numbers(T: np.ndarray) -> np.ndarray:

@@ -358,6 +358,8 @@ SUITES = {
 
 def run(names, seed: int, trials: int) -> tuple[dict, list]:
     """The report of the named suites, and their witnesses tagged by suite."""
+    if trials < 1:
+        raise ValueError(f"proptest needs trials >= 1, got {trials}")
     suites = {}
     witnesses = []
     for name in names:

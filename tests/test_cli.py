@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gaugenorm import cli, proptest
 
@@ -116,6 +121,22 @@ def test_boolean_operand_entries_exit_2(tmp_path, capsys, operand):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "operand",
+    [{"x": 5}, {"x": None}, {"x": [[None, 1]]}],
+    ids=["number", "null", "null-pair"],
+)
+def test_malformed_vector_operand_exits_2(tmp_path, capsys, operand):
+    # Each of these raised TypeError out of main, which exits 1 like
+    # "dominance false".
+    spec = write(tmp_path / "s.json", {"kind": "trace"})
+    operand = write(tmp_path / "x.json", operand)
+    assert cli.main(["norm", spec, operand]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_arithmetic_errors_exit_3(tmp_path, capsys, monkeypatch):
     # Returning at all means main caught it: no traceback, and not exit 1,
     # which means "dominance false".
@@ -215,6 +236,15 @@ def test_s_number_overflow_exits_3(tmp_path, capsys, argv):
         "spec": write(tmp_path / "s.json", {"kind": "trace"}),
     }
     assert cli.main([arg.format(**files) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_dominance_partial_sum_overflow_exits_3(tmp_path, capsys):
+    # s_1 = s_2 = 1.5e308 are finite, but their sum once printed as Infinity.
+    m = write(tmp_path / "m.json", diag_json(1.5e308, 1.5e308))
+    assert cli.main(["dominance", m, m]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -366,3 +396,118 @@ def test_dominance_of_a_halved_tiny_matrix_exits_1(tmp_path, capsys):
     code, out = run(capsys, ["dominance", s, t])
     assert code == 1
     assert json.loads(out)["violating_k"] == 1
+
+
+def test_exit_codes_are_one_map_with_no_shadowed_entry():
+    kinds = [kind for kind, _ in cli.EXIT_CODES]
+    for i, kind in enumerate(kinds):
+        assert not [above for above in kinds[:i] if issubclass(kind, above)], kind
+    own_exceptions = [
+        name
+        for name, value in vars(cli).items()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == cli.__name__
+    ]
+    assert own_exceptions == []
+
+
+KINDS = "operator trace lp kyfan kyfanzero weight supof tbracket csup".split()
+FIELDS = "kind p t f fs c n entries x breakpoints values knots".split()
+# Mostly values that parse, so the fuzz also reaches the numerics behind the
+# parsers, plus every float (NaN, inf, 1e308) and strings that do not parse.
+FLOAT = st.floats(0, 2) | st.floats(allow_nan=False, allow_infinity=False)
+NUMBER = st.one_of(
+    st.integers(-3, 3),
+    FLOAT,
+    st.floats(),
+    st.sampled_from(["1/2", "1/0", "1e400", "x"]),
+)
+LEAF = st.one_of(st.none(), st.booleans(), NUMBER, st.sampled_from(KINDS))
+ANY_JSON = st.recursive(
+    LEAF,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=3),
+    max_leaves=10,
+)
+KNOTS = st.sampled_from([[0, 1], [0, "1/2", 1], [0, 0.3, 1]]) | st.lists(
+    NUMBER, max_size=4
+)
+STEP = st.fixed_dictionaries(
+    {"breakpoints": KNOTS, "values": st.lists(FLOAT | NUMBER, max_size=3)}
+)
+SPEC = ANY_JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(KINDS), "p": NUMBER, "t": NUMBER},
+    optional={"f": STEP, "fs": st.lists(STEP, max_size=2), "c": STEP},
+)
+
+
+def _square(n, entry):
+    return st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+
+
+MATRIX = st.integers(1, 3).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.just(n),
+            "entries": _square(n, st.lists(FLOAT, min_size=2, max_size=2)),
+        }
+    )
+)
+VECTOR = st.fixed_dictionaries(
+    {"x": st.lists(NUMBER | st.lists(NUMBER, max_size=3), max_size=3)}
+)
+OPERAND = st.one_of(ANY_JSON, MATRIX, VECTOR, STEP)
+PROFILE = st.one_of(
+    ANY_JSON,
+    st.fixed_dictionaries({"p": NUMBER}),
+    KNOTS.flatmap(
+        lambda knots: st.fixed_dictionaries(
+            {
+                "knots": st.just(knots),
+                "values": st.lists(
+                    FLOAT | NUMBER, min_size=len(knots), max_size=len(knots)
+                ),
+            }
+        )
+    ),
+)
+COMMANDS = [
+    ["norm", "{spec}", "{a}"],
+    ["norm", "--dual", "{spec}", "{a}"],
+    ["norm", "--profile", "{spec}"],
+    ["snumbers", "{a}"],
+    ["dominance", "{a}", "{b}"],
+    ["decompose", "{profile}"],
+]
+PARSER = cli.build_parser()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@seed(20260)
+@settings(max_examples=150, deadline=None)
+@given(SPEC, OPERAND, OPERAND, PROFILE)
+def test_random_json_never_escapes_the_exit_code_map(fuzz_dir, spec, a, b, profile):
+    # Whatever the input files hold, main returns: a code from the map, 0, or
+    # 1 only as dominance's verdict, and any error leaves stdout empty.
+    inputs = {"spec": spec, "a": a, "b": b, "profile": profile}
+    files = {name: write(fuzz_dir / f"{name}.json", v) for name, v in inputs.items()}
+    codes = {0, 1, *(code for _, code in cli.EXIT_CODES)}
+    # One parser serves every call; building 900 of them took most of the time.
+    with mock.patch.object(cli, "build_parser", lambda: PARSER):
+        for argv in COMMANDS:
+            argv = [arg.format(**files) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in codes, argv
+            assert code != 1 or argv[0] == "dominance", argv
+            if code >= 2:
+                assert out.getvalue() == "", argv
+                assert err.getvalue().startswith("error: "), argv

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import gaugenorm as gn
 from gaugenorm import KyFan, Lp, TBracket, Trace
 from gaugenorm.dominance import (
+    DimensionMismatchError,
     dominance_transfer,
     kyfan_dominates,
     violating_weight,
@@ -58,6 +60,33 @@ def test_equal_matrices_dominate_with_zero_margins():
 def test_dimension_mismatch_is_rejected():
     with pytest.raises(ValueError):
         kyfan_dominates(np.eye(2), np.eye(3))
+
+
+def test_dimension_mismatch_has_its_own_value_error():
+    with pytest.raises(DimensionMismatchError, match=r"\(2, 2\) vs \(3, 3\)"):
+        kyfan_dominates(np.eye(3), np.eye(2))
+    assert issubclass(DimensionMismatchError, ValueError)
+
+
+def test_partial_sums_past_the_float_range_raise():
+    # Each s-number is finite, but s_1 + s_2 = 3e308 is not; the sums once
+    # came back as inf, with numpy's overflow warning.
+    D = np.diag([1.5e308, 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            kyfan_dominates(D, D)
+        with pytest.raises(FloatingPointError):
+            kyfan_dominates(D, np.diag([1.0, 0.0]))
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_partial_sums_are_those_of_np_cumsum(seed):
+    S, T = gn.random_matrix(5, seed), gn.random_matrix(5, seed + 1)
+    _, cert = kyfan_dominates(T, S)
+    assert cert["partial_sums_S"] == np.cumsum(gn.s_numbers(S)).tolist()
+    assert cert["partial_sums_T"] == np.cumsum(gn.s_numbers(T)).tolist()
 
 
 @given(seeds, st.sampled_from(STYLES))

@@ -275,6 +275,19 @@ def test_lp_density_check_rejects_points_outside_the_unit_interval(s):
         lp_density_check(2.0, [0.5, s])
 
 
+@pytest.mark.parametrize("p", (float("inf"), float("nan")))
+def test_lp_density_check_rejects_a_p_that_is_not_finite_above_one(p):
+    with pytest.raises(ValueError, match="finite p > 1"):
+        lp_density_check(p)
+
+
+@pytest.mark.parametrize("grid", ([], np.linspace(0.0, 1.0, 0)))
+def test_lp_density_check_rejects_an_empty_grid(grid):
+    # An empty grid checks nothing, so it must not return an error of 0.
+    with pytest.raises(ValueError, match="grid point"):
+        lp_density_check(2.0, grid)
+
+
 @pytest.mark.parametrize("p", (1.01, 1.5, 3.0, 10.0))
 @pytest.mark.parametrize("s", (0.0, 0.3, 0.5, 1.0))
 def test_lp_integral_matches_scipy_quad(p, s):

@@ -69,7 +69,15 @@ def test_matrix_json_round_trip():
         matrix_from_json({"n": 2, "entries": [[[1, 0]]]})
     with pytest.raises(ValueError):
         matrix_from_json({"entries": []})
-    for entries in ([[["1", 0]]], [[[10**400, 0]]], [[[1, 0, 0]]], [[[1]]], [[None]]):
+    for entries in (
+        [[["1", 0]]],
+        [[[10**400, 0]]],
+        [[[1, 0, 0]]],
+        [[[1]]],
+        [[None]],
+        [[[float("nan"), 0]]],
+        [[[0, float("inf")]]],
+    ):
         with pytest.raises(ValueError):
             matrix_from_json({"n": 1, "entries": entries})
     for n in (1.7, True, "1", float("inf"), float("nan"), None):

@@ -18,6 +18,13 @@ def test_check_norm_axioms_rejects_trials_below_one(trials):
         proptest.check_norm_axioms(Trace(), trials=trials)
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_run_rejects_trials_below_one(trials):
+    # No trials check nothing, so the report must not say "passed": True.
+    with pytest.raises(ValueError, match="trials >= 1"):
+        proptest.run(["duality"], 7, trials)
+
+
 def _frobenius_squared(spec, X):
     return float(np.sum(np.abs(X) ** 2))
 
