@@ -15,7 +15,8 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg
-from .norms import NormSpec, norm_mat, spec_to_json
+from .norms import NormSpec, Weight, norm_mat, spec_to_json
+from .stepfn import StepFn
 
 HYPOTHESIS_SLACK = 1e-10
 CONCLUSION_SLACK = 1e-9
@@ -94,8 +95,5 @@ def violating_weight(n: int, k: int):
     The flat head weight (n/k on [0, k/n), zero after) turns the k-th
     partial-sum gap directly into a weight-norm gap.
     """
-    from .norms import Weight
-    from .stepfn import StepFn
-
     values = [n / k] * k + [0.0] * (n - k)
     return Weight(StepFn.from_uniform(values))

@@ -187,26 +187,6 @@ def dual_mat(spec: NormSpec, T: np.ndarray) -> float:
     return dual_vec(spec, linalg.s_numbers(T))
 
 
-def gamma_extreme_points(n: int, k: int) -> list[np.ndarray]:
-    """Extreme points of the ordered set Gamma(n, k).
-
-    Gamma is the set of vectors x_1 >= ... >= x_{k-1} >= x_k = ... = x_n >= 0
-    (constant tail from index k) whose top-k average is at most 1. Its k+1
-    extreme points are the saturated staircases (k/j, ..., k/j, 0, ..., 0)
-    for j = 1..k-1, the all-ones vector, and the origin.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside 1..{n}")
-    points = []
-    for j in range(1, k):
-        p = np.zeros(n)
-        p[:j] = k / j
-        points.append(p)
-    points.append(np.ones(n))
-    points.append(np.zeros(n))
-    return points
-
-
 def ball_vertices(rows: list[np.ndarray], n: int) -> list[np.ndarray]:
     """Vertices of {y in ordered cone : r . y <= 1 for all rows r}.
 

@@ -4,9 +4,10 @@ Every norm here is a symmetric gauge norm of the nonincreasing rearrangement
 of its argument. Every kind but ``Lp`` is polyhedral, a finite case of the
 representation theorem: the largest of its Ky Fan cuts (c, t), each c times
 the Ky Fan t-norm (t = 0 is the operator norm), and of its weights' pairings
-with the rearranged argument. Operator and KyFanZero are the cut (1, 0),
-Trace is (1, 1), TBracket(t) is (t, 0) and (1, 1), a CSup has one cut per
-piece with c > 0, at the piece's left end, and Weight and SupOf are weights.
+with the rearranged argument. Operator is the cut (1, 0), so the JSON specs
+``kyfan`` at t = 0 and ``kyfanzero`` parse to it. Trace is (1, 1),
+TBracket(t) is (t, 0) and (1, 1), a CSup has one cut per piece with c > 0,
+at the piece's left end, and Weight and SupOf are weights.
 ``spec_rows`` turns these pieces into one read-only row matrix, exactly
 against the grid k/n and cached on (spec, n); vectors (sorted magnitudes) and
 matrices (s-numbers) are evaluated through it, and the dual LP and vertex
@@ -34,7 +35,6 @@ from .stepfn import (
     VALUE_TOL,
     RationalLike,
     StepFn,
-    WeightFn,
     as_fraction,
     check_weight_values,
     pairing,
@@ -88,11 +88,6 @@ class KyFan:
 
 
 @dataclass(frozen=True)
-class KyFanZero:
-    """The t -> 0 limit of the Ky Fan family: the operator norm."""
-
-
-@dataclass(frozen=True)
 class Weight:
     """Pairing of the rearranged argument against a nonincreasing weight.
 
@@ -103,9 +98,7 @@ class Weight:
     f: StepFn
 
     def __post_init__(self) -> None:
-        f = self.f.inner if isinstance(self.f, WeightFn) else self.f
-        object.__setattr__(self, "f", f)
-        check_weight_values(f.values)
+        check_weight_values(self.f.values)
 
 
 @dataclass(frozen=True)
@@ -151,7 +144,7 @@ class CSup:
             raise ValueError("profile must attain the value 1")
 
 
-NormSpec = Operator | Trace | Lp | KyFan | KyFanZero | Weight | SupOf | TBracket | CSup
+NormSpec = Operator | Trace | Lp | KyFan | Weight | SupOf | TBracket | CSup
 
 
 class UnsupportedSpecError(ValueError):
@@ -208,7 +201,7 @@ def _pieces(
 
     A CSup piece [lo, hi) gives the one cut (c, lo): K_t falls as t grows.
     """
-    if isinstance(spec, (Operator, KyFanZero)):
+    if isinstance(spec, Operator):
         return [(1.0, 0)], ()
     if isinstance(spec, Trace):
         return [(1.0, 1)], ()
@@ -311,9 +304,7 @@ def identity_norm(spec: NormSpec, n: int) -> float:
     return norm_vec(spec, np.ones(n))
 
 
-def weight_norm_as_kyfan_combo(
-    f: StepFn | WeightFn,
-) -> list[tuple[float, Fraction]]:
+def weight_norm_as_kyfan_combo(f: StepFn) -> list[tuple[float, Fraction]]:
     """Rewrite a uniform-partition weight norm as a Ky Fan combination.
 
     For a weight with values a_1 >= ... >= a_n on the uniform partition the
@@ -342,8 +333,6 @@ def spec_to_json(spec: NormSpec) -> dict:
         return {"kind": "operator"}
     if isinstance(spec, Trace):
         return {"kind": "trace"}
-    if isinstance(spec, KyFanZero):
-        return {"kind": "kyfan", "t": 0}
     if isinstance(spec, Lp):
         return {"kind": "lp", "p": _param_json(spec.p)}
     if isinstance(spec, KyFan):
@@ -371,7 +360,7 @@ def spec_from_json(obj: dict) -> NormSpec:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"norm spec needs a 'kind' field: {exc}") from exc
     try:
-        if kind == "operator":
+        if kind in ("operator", "kyfanzero"):
             return Operator()
         if kind == "trace":
             return Trace()
@@ -379,9 +368,7 @@ def spec_from_json(obj: dict) -> NormSpec:
             return Lp(obj["p"])
         if kind == "kyfan":
             t = _as_param(obj["t"])
-            return KyFanZero() if t == 0 else KyFan(t)
-        if kind == "kyfanzero":
-            return KyFanZero()
+            return Operator() if t == 0 else KyFan(t)
         if kind == "weight":
             return Weight(StepFn.from_json(obj["f"]))
         if kind == "supof":

@@ -9,7 +9,6 @@ fixed seed gives a byte-identical report.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -33,24 +32,32 @@ def _as_json(value):
 
 
 class _Tally:
-    """Pass counts and failure witnesses of one suite.
+    """Pass and fail counts, worst failures and witnesses of one suite.
 
-    A check passes only when its value is <= its bound, so a NaN fails. A
-    failure appends {"check": name, **fields}, its fields made JSON then.
-    The pass counts of the named checks start at 0.
+    A check passes only when its value is <= its bound, so a NaN fails. Each
+    failure appends {"check": name, **fields} to ``witnesses``, its fields
+    made JSON then. ``checks[name]`` keeps the worst failure of a check, the
+    largest value - bound (the first failure, if that is NaN), as "worst"
+    and its fields as "witness". The named checks start at zero.
     """
 
+    _UNTRIED = {"pass": 0, "fail": 0, "worst": 0.0, "witness": None}
+
     def __init__(self, *names: str) -> None:
-        self.passes = defaultdict(int, dict.fromkeys(names, 0))
+        self.checks = {name: dict(self._UNTRIED) for name in names}
         self.witnesses: list[dict] = []
 
     def check(self, name: str, value, bound, **fields) -> None:
+        entry = self.checks.setdefault(name, dict(self._UNTRIED))
         if value <= bound:
-            self.passes[name] += 1
-        else:
-            self.witnesses.append(
-                {"check": name, **{k: _as_json(v) for k, v in fields.items()}}
-            )
+            entry["pass"] += 1
+            return
+        entry["fail"] += 1
+        margin = value - bound
+        witness = {k: _as_json(v) for k, v in fields.items()}
+        if entry["witness"] is None or margin > entry["worst"]:
+            entry["worst"], entry["witness"] = margin, witness
+        self.witnesses.append({"check": name, **witness})
 
 
 def random_weight_fn(n: int, rng: Rng64, normalized: bool = False) -> StepFn:
@@ -136,86 +143,63 @@ def check_norm_axioms(
 
     Runs the triangle inequality, absolute homogeneity, two-sided unitary
     invariance, the bounded-multiplier bound |||ATB||| <= ||A|| |||T||| ||B||,
-    the normalized sandwich, and positivity-monotonicity. A check passes
-    when its margin is <= 0, so a NaN fails. Failures become report entries,
-    not exceptions: each failing check keeps the operands of its first or
-    worst failure, converted to JSON only then.
+    the normalized sandwich, and positivity-monotonicity. Each margin goes
+    to a ``_Tally`` as the value against the bound 0.0, so a NaN fails and
+    "checks" holds the tally's counts, worst margin and witness per check.
+    Failures become report entries, not exceptions.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = Rng64(seed)
     unit = norms.identity_norm(spec, n)
-    checks: dict[str, dict] = {
-        name: {"pass": 0, "fail": 0, "worst": 0.0, "witness": None}
-        for name in (
-            "triangle",
-            "homogeneity",
-            "unitary_invariance",
-            "multiplier_bound",
-            "sandwich",
-            "monotonicity",
-        )
-    }
-
-    def record(name: str, margin: float, **operands) -> None:
-        entry = checks[name]
-        if margin <= 0:
-            entry["pass"] += 1
-            return
-        entry["fail"] += 1
-        if entry["witness"] is None or margin > entry["worst"]:
-            entry["worst"] = margin
-            entry["witness"] = {k: _as_json(v) for k, v in operands.items()}
+    tally = _Tally(
+        "triangle",
+        "homogeneity",
+        "unitary_invariance",
+        "multiplier_bound",
+        "sandwich",
+        "monotonicity",
+    )
 
     for _ in range(trials):
         S = linalg.random_matrix(n, rng.next_u64())
         T = linalg.random_matrix(n, rng.next_u64())
         nS, nT = norm_mat(spec, S), norm_mat(spec, T)
 
-        record("triangle", norm_mat(spec, S + T) - (nS + nT) - 1e-9, S=S, T=T)
+        margin = norm_mat(spec, S + T) - (nS + nT) - 1e-9
+        tally.check("triangle", margin, 0.0, S=S, T=T)
 
         c = 2.0 * rng.gauss()
-        record(
-            "homogeneity",
-            abs(norm_mat(spec, c * T) - abs(c) * nT) - 1e-9 * max(1.0, abs(c)),
-            c=c,
-            T=T,
-        )
+        margin = abs(norm_mat(spec, c * T) - abs(c) * nT) - 1e-9 * max(1.0, abs(c))
+        tally.check("homogeneity", margin, 0.0, c=c, T=T)
 
         U = linalg.random_unitary(n, rng.next_u64())
         V = linalg.random_unitary(n, rng.next_u64())
-        record("unitary_invariance", abs(norm_mat(spec, U @ T @ V) - nT) - 1e-8, T=T)
+        margin = abs(norm_mat(spec, U @ T @ V) - nT) - 1e-8
+        tally.check("unitary_invariance", margin, 0.0, T=T)
 
         A = linalg.random_matrix(n, rng.next_u64())
         B = linalg.random_matrix(n, rng.next_u64())
         bound = linalg.operator_norm(A) * nT * linalg.operator_norm(B)
-        record(
-            "multiplier_bound",
-            norm_mat(spec, A @ T @ B) - bound - 1e-8 * max(1.0, bound),
-            T=T,
-        )
+        margin = norm_mat(spec, A @ T @ B) - bound - 1e-8 * max(1.0, bound)
+        tally.check("multiplier_bound", margin, 0.0, T=T)
 
         scaled = nT / unit
-        record(
-            "sandwich",
-            max(linalg.trace_norm(T) - scaled, scaled - linalg.operator_norm(T))
-            - 1e-10,
-            T=T,
-        )
+        gap = max(linalg.trace_norm(T) - scaled, scaled - linalg.operator_norm(T))
+        tally.check("sandwich", gap - 1e-10, 0.0, T=T)
 
         low = S.conj().T @ S
         high = low + T.conj().T @ T
-        record(
-            "monotonicity", norm_mat(spec, low) - norm_mat(spec, high) - 1e-9, S=S, T=T
-        )
+        margin = norm_mat(spec, low) - norm_mat(spec, high) - 1e-9
+        tally.check("monotonicity", margin, 0.0, S=S, T=T)
 
     return {
         "spec": norms.spec_to_json(spec),
         "n": n,
         "trials": trials,
         "seed": seed,
-        "checks": checks,
-        "passed": all(entry["fail"] == 0 for entry in checks.values()),
+        "checks": tally.checks,
+        "passed": not tally.witnesses,
     }
 
 
@@ -303,7 +287,8 @@ def _suite_duality(seed: int, trials: int) -> tuple[dict, list]:
         for spec in specs:
             lhs, rhs = duality.holder_check(spec, S, T)
             tally.check("holder", lhs, rhs + 1e-8, spec=spec, lhs=lhs, rhs=rhs)
-    return {"n": n, "rounds": rounds, "passes": tally.passes}, tally.witnesses
+    passes = {name: entry["pass"] for name, entry in tally.checks.items()}
+    return {"n": n, "rounds": rounds, "passes": passes}, tally.witnesses
 
 
 def _suite_dominance(seed: int, trials: int) -> tuple[dict, list]:

@@ -84,10 +84,6 @@ class StepFn:
         bps = tuple(Fraction(k, n) for k in range(n + 1))
         return cls(bps, tuple(float(v) for v in values))
 
-    @classmethod
-    def constant(cls, value: float) -> "StepFn":
-        return cls((Fraction(0), Fraction(1)), (float(value),))
-
     def intervals(self) -> Iterator[tuple[Fraction, Fraction, float]]:
         """Yield (lo, hi, value) triples."""
         for i, v in enumerate(self.values):
@@ -154,29 +150,6 @@ def check_weight_values(vals: Sequence[float]) -> None:
         raise ValueError("weight values must be nonnegative")
     if any(nxt > cur + tol for cur, nxt in zip(vals, vals[1:])):
         raise ValueError("weight values must be nonincreasing")
-
-
-@dataclass(frozen=True)
-class WeightFn:
-    """A nonincreasing nonnegative step weight with mean at most 1.
-
-    The mean condition uses exact rational interval lengths; only the value
-    arithmetic carries the usual float tolerance.
-    """
-
-    inner: StepFn
-
-    def __post_init__(self) -> None:
-        check_weight_values(self.inner.values)
-        if self.inner.integral() > 1.0 + VALUE_TOL:
-            raise ValueError("weight mean exceeds 1")
-
-    def to_json(self) -> dict:
-        return self.inner.to_json()
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightFn":
-        return cls(StepFn.from_json(obj))
 
 
 def refine(f: StepFn, g: StepFn) -> tuple[StepFn, StepFn]:

@@ -15,7 +15,6 @@ import gaugenorm as gn
 from gaugenorm import (
     CSup,
     KyFan,
-    KyFanZero,
     Lp,
     Operator,
     Rng64,
@@ -38,7 +37,7 @@ def battery20() -> list:
     specs = [
         Trace(),
         Operator(),
-        KyFanZero(),
+        KyFan(Fraction(1, 6)),
         Lp(Fraction(3, 2)),
         Lp(2),
         Lp(3),

@@ -196,6 +196,28 @@ def test_profile_emits_csv_with_the_bracket_knot(tmp_path, capsys):
     assert code == 2  # operand required without --profile
 
 
+def test_kyfan_at_zero_spellings_print_as_the_operator_norm(tmp_path, capsys):
+    operands = [
+        write(tmp_path / "m.json", diag_json(3, 1, 2)),
+        write(tmp_path / "x.json", {"x": [1.0, -4.0, 2.5]}),
+        write(tmp_path / "f.json", {"breakpoints": [0, "1/3", 1], "values": [1, 3]}),
+    ]
+    commands = [["norm", "--profile", "{spec}"]]
+    for operand in operands:
+        commands += [["norm", "{spec}", operand], ["norm", "--dual", "{spec}", operand]]
+
+    def outputs(spec):
+        spec = write(tmp_path / "s.json", spec)
+        return [
+            (cli.main([a.format(spec=spec) for a in argv]), *capsys.readouterr())
+            for argv in commands
+        ]
+
+    expected = outputs({"kind": "operator"})
+    assert outputs({"kind": "kyfan", "t": 0}) == expected
+    assert outputs({"kind": "kyfanzero"}) == expected
+
+
 def test_dominance_exit_codes(tmp_path, capsys):
     flat = write(tmp_path / "flat.json", diag_json(1, 1))
     spike = write(tmp_path / "spike.json", diag_json(2, 0))

@@ -30,7 +30,6 @@ from gaugenorm.duality import (
     _dual_rows,
     ball_vertices,
     dual_spec,
-    gamma_extreme_points,
     involution_check,
     primal_vertices,
     representation_check,
@@ -278,33 +277,22 @@ def test_trace_and_operator_are_dual_to_each_other():
     assert dual_vec(Operator(), x) == pytest.approx(2.0)
 
 
-def test_gamma_extreme_points_shape():
-    pts = gamma_extreme_points(3, 2)
-    as_tuples = sorted(tuple(p) for p in pts)
-    assert as_tuples == [
-        (0.0, 0.0, 0.0),
-        (1.0, 1.0, 1.0),
-        (2.0, 0.0, 0.0),
-    ]
-    assert len(gamma_extreme_points(6, 4)) == 5
-    ones_and_zero = gamma_extreme_points(3, 1)
-    assert sorted(tuple(p) for p in ones_and_zero) == [
-        (0.0, 0.0, 0.0),
-        (1.0, 1.0, 1.0),
-    ]
-    with pytest.raises(ValueError):
-        gamma_extreme_points(3, 4)
-
-
-def test_kyfan_ball_vertices_in_three_dimensions():
-    rows = spec_rows(KyFan(Fraction(2, 3)), 3)
-    verts = sorted(tuple(np.round(v, 9)) for v in ball_vertices(rows, 3))
-    assert verts == [
-        (0.0, 0.0, 0.0),
-        (1.0, 1.0, 0.0),
-        (1.0, 1.0, 1.0),
-        (2.0, 0.0, 0.0),
-    ]
+@pytest.mark.parametrize(
+    "spec, n, expected",
+    [
+        (KyFan(Fraction(2, 3)), 3, [(0, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0)]),
+        # Gamma(n, k), the ordered set whose tail from index k is constant and
+        # whose top-k average is at most 1, is the Trace ball of R^k with its
+        # last coordinate repeated up to n: 0 and (k/j, ..., k/j, 0, ..., 0).
+        (Trace(), 1, [(0,), (1,)]),
+        (Trace(), 2, [(0, 0), (1, 1), (2, 0)]),
+        (Trace(), 3, [(0, 0, 0), (1, 1, 1), (1.5, 1.5, 0), (3, 0, 0)]),
+    ],
+    ids=["kyfan-2-3", "trace-1", "trace-2", "trace-3"],
+)
+def test_kyfan_ball_vertices_in_three_dimensions(spec, n, expected):
+    verts = sorted(tuple(np.round(v, 9)) for v in ball_vertices(spec_rows(spec, n), n))
+    assert verts == expected
 
 
 @given(seeds)

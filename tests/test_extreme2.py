@@ -14,7 +14,6 @@ from gaugenorm import extreme2 as ex2
 from gaugenorm import (
     CSup,
     KyFan,
-    KyFanZero,
     Lp,
     Operator,
     StepFn,
@@ -343,7 +342,6 @@ def test_bracket_norms_are_extreme(t):
     [
         Operator(),
         Trace(),
-        KyFanZero(),
         KyFan(Fraction(1, 2)),
         KyFan(1),
         TBracket(Fraction(2, 3)),

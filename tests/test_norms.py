@@ -13,7 +13,6 @@ import gaugenorm as gn
 from gaugenorm import (
     CSup,
     KyFan,
-    KyFanZero,
     Lp,
     Operator,
     StepFn,
@@ -58,7 +57,6 @@ def test_kyfan_on_non_uniform_step_function():
 def test_operator_and_trace_limits(x):
     arr = np.array(x)
     assert norm_vec(Operator(), arr) == pytest.approx(np.abs(arr).max())
-    assert norm_vec(KyFanZero(), arr) == pytest.approx(np.abs(arr).max())
     assert norm_vec(Trace(), arr) == pytest.approx(np.abs(arr).mean())
     assert norm_vec(Lp(1), arr) == pytest.approx(np.abs(arr).mean())
 
@@ -106,7 +104,6 @@ def off_grid_step(values):
 def polyhedral_battery(n):
     return [
         Operator(),
-        KyFanZero(),
         Trace(),
         KyFan(Fraction(1, 3)),
         KyFan(Fraction(2, 7)),
@@ -242,7 +239,6 @@ def test_spec_json_round_trips():
     specs = [
         Operator(),
         Trace(),
-        KyFanZero(),
         KyFan(Fraction(2, 3)),
         KyFan(0.37),
         Lp(2.5),
@@ -255,7 +251,8 @@ def test_spec_json_round_trips():
     for spec in specs:
         obj = spec_to_json(spec)
         assert spec_from_json(obj) == spec
-    assert spec_from_json({"kind": "kyfan", "t": 0}) == KyFanZero()
+    assert spec_from_json({"kind": "kyfan", "t": 0}) == Operator()
+    assert spec_from_json({"kind": "kyfanzero"}) == Operator()
     assert spec_from_json({"kind": "kyfan", "t": "2/3"}) == KyFan(Fraction(2, 3))
     with pytest.raises(ValueError):
         spec_from_json({"kind": "nope"})

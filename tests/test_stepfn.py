@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gaugenorm.stepfn import (
     StepFn,
-    WeightFn,
     as_fraction,
     equimeasurable,
     pairing,
@@ -174,17 +173,6 @@ def test_partial_integral_of_rearrangement_is_concave(vals):
     heads = [partial_integral(g, t) for t in grid]
     for a, b, c in zip(heads, heads[1:], heads[2:]):
         assert b - a >= (c - b) - 1e-10
-
-
-def test_weight_fn_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        WeightFn(halves(1.0, 2.0))  # increasing
-    with pytest.raises(ValueError):
-        WeightFn(halves(-1.0, -2.0))
-    with pytest.raises(ValueError):
-        WeightFn(halves(4.0, 3.0))  # mean above 1
-    w = WeightFn(halves(1.5, 0.5))
-    assert w.inner.integral() == pytest.approx(1.0)
 
 
 def test_scale_and_abs_and_max_value():
