@@ -42,6 +42,7 @@ from .norms import (
     NormSpec,
     SupOf,
     UnsupportedSpecError,
+    finite_value,
     norm_mat,
     norm_vec,
     power_mean,
@@ -114,11 +115,15 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def dual_vec_full(spec: NormSpec, x) -> tuple[float, np.ndarray]:
-    """Dual norm of x and a maximizing ordered witness y."""
+    """Dual norm of x and a maximizing ordered witness y.
+
+    A polyhedral dual past the float range raises ``FloatingPointError``.
+    """
     xstar = sorted_magnitudes(x)
     if isinstance(spec, Lp):
         return _lp_dual(float(spec.p), xstar)
-    return _rows_dual(spec_rows(spec, xstar.size), xstar)
+    value, y = _rows_dual(spec_rows(spec, xstar.size), xstar)
+    return finite_value(value, "dual norm"), y
 
 
 def _rows_dual(R: np.ndarray, xstar: np.ndarray) -> tuple[float, np.ndarray]:
@@ -219,8 +224,6 @@ def ball_vertices(rows: list[np.ndarray], n: int) -> list[np.ndarray]:
     for k, a in enumerate(A, start=d):
         vals = rays @ a
         out, inside = vals > tol, vals < -tol
-        if out.all():
-            return []  # ball is empty; cannot happen for norm rows
         tight[:, k] = ~inside
         if not out.any():
             continue

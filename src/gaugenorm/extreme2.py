@@ -67,10 +67,7 @@ class Profile:
             raise ValueError(f"profile argument {s} outside [0,1]")
         if self.kind == "lp":
             return _fp(self.p, s)
-        ks, vs = self.knots, self.values
-        i = max(0, min(np.searchsorted(ks, s, side="right") - 1, len(ks) - 2))
-        w = (s - ks[i]) / (ks[i + 1] - ks[i])
-        return (1.0 - w) * vs[i] + w * vs[i + 1]
+        return float(np.interp(s, self.knots, self.values))
 
     def slopes(self) -> list[float]:
         if self.kind != "pl":
@@ -122,14 +119,6 @@ class AtomicMeasure:
 
     def to_json(self) -> dict:
         return {"atoms": [{"t": t, "w": w} for t, w in self.atoms]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "AtomicMeasure":
-        try:
-            atoms = tuple((float(a["t"]), float(a["w"])) for a in obj["atoms"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed measure object: {exc}") from exc
-        return cls(atoms)
 
 
 def profile_of(spec: NormSpec) -> Profile:
@@ -349,14 +338,14 @@ def lp_density_check(p: float, s_grid=None) -> float:
     return float(np.max(errors))
 
 
-def profile_csv(p: Profile, points: int = 101) -> str:
+def profile_csv(p: Profile) -> str:
     """CSV sampling of a profile with 6 significant digits.
 
-    The rows are the knots and a uniform grid; a grid point that prints the
-    same as a knot is dropped, so no two rows share an s string.
+    The rows are the knots and a uniform grid of 101 points; a grid point that
+    prints the same as a knot is dropped, so no two rows share an s string.
     """
     rows: dict[str, float] = {}
-    for s in [*p.knots, *np.linspace(0.0, 1.0, points).tolist()]:
+    for s in [*p.knots, *np.linspace(0.0, 1.0, 101).tolist()]:
         rows.setdefault(f"{s:.6g}", s)
     lines = [f"{k},{p(s):.6g}" for k, s in sorted(rows.items(), key=lambda r: r[1])]
     return "\n".join(["s,f", *lines]) + "\n"

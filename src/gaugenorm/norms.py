@@ -265,20 +265,30 @@ def norm_step(spec: NormSpec, f: StepFn) -> float:
         return power_mean(np.array(g.values), float(spec.p), lengths)
     cuts, weights = _pieces(spec)
     values = [c * _kyfan_of_rearranged(g, t) for c, t in cuts]
-    return max(values + [pairing(w, g) for w in weights])
+    return finite_value(max(values + [pairing(w, g) for w in weights]), "norm")
+
+
+def finite_value(value: float, what: str) -> float:
+    """value, or ``FloatingPointError`` naming what is past the float range."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{what} overflows the float range")
+    return value
 
 
 def sorted_magnitudes(x) -> np.ndarray:
     """|x| in nonincreasing order, for a nonempty vector of finite entries.
 
     The descending sort puts NaN first and inf next, so the first entry
-    alone decides finiteness.
+    alone decides finiteness: a NaN or inf entry raises ``ValueError``, and a
+    finite one whose modulus overflows ``FloatingPointError``.
     """
     v = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     if v.size == 0:
         raise ValueError("empty vector has no norm")
     xstar = np.sort(np.abs(v))[::-1]
     if not math.isfinite(xstar[0]):
+        if np.isfinite(v).all():
+            raise FloatingPointError("vector magnitudes overflow the float range")
         raise ValueError("values must be finite")
     return xstar
 
@@ -287,7 +297,7 @@ def _norm_of_ordered(spec: NormSpec, xstar: np.ndarray) -> float:
     """The norm of a nonincreasing nonnegative vector, through its rows."""
     if isinstance(spec, Lp):
         return power_mean(xstar, float(spec.p))
-    return float(np.max(spec_rows(spec, xstar.size) @ xstar))
+    return finite_value(float(np.max(spec_rows(spec, xstar.size) @ xstar)), "norm")
 
 
 def norm_vec(spec: NormSpec, x) -> float:

@@ -10,9 +10,12 @@ through value arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 #: absolute tolerance for comparing interval values
@@ -93,17 +96,8 @@ class StepFn:
         q = as_fraction(x)
         if q < 0 or q > 1:
             raise ValueError(f"argument {x!r} outside [0,1]")
-        if q == 1:
-            return self.values[-1]
-        # rightmost breakpoint <= q
-        lo, hi = 0, len(self.values) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breakpoints[mid] <= q:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.values[lo]
+        # the value on the rightmost breakpoint <= q; the last interval's at q = 1
+        return self.values[min(bisect_right(self.breakpoints, q), len(self.values)) - 1]
 
     def integral(self) -> float:
         return float(sum(float(hi - lo) * v for lo, hi, v in self.intervals()))
@@ -116,9 +110,6 @@ class StepFn:
 
     def scale(self, c: float) -> "StepFn":
         return self.map_values(lambda v: c * v)
-
-    def max_value(self) -> float:
-        return max(self.values)
 
     def is_uniform(self) -> bool:
         n = len(self.values)
@@ -153,45 +144,23 @@ def check_weight_values(vals: Sequence[float]) -> None:
 
 
 def refine(f: StepFn, g: StepFn) -> tuple[StepFn, StepFn]:
-    """Re-express both functions on their merged breakpoint set."""
+    """Re-express f and g on their merged breakpoints, each read at left ends."""
     merged = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
-    return _on_partition(f, merged), _on_partition(g, merged)
-
-
-def _on_partition(f: StepFn, bps: tuple[Fraction, ...]) -> StepFn:
-    vals = []
-    i = 0
-    for lo in bps[:-1]:
-        while f.breakpoints[i + 1] <= lo:
-            i += 1
-        vals.append(f.values[i])
-    return StepFn(bps, tuple(vals))
+    return tuple(StepFn(merged, tuple(map(h, merged[:-1]))) for h in (f, g))
 
 
 def rearrange(f: StepFn) -> StepFn:
     """The nonincreasing rearrangement f* of f.
 
     Level sets keep their exact rational masses; they are laid out left to
-    right in decreasing value order, and runs of equal values coalesce, which
-    makes the output canonical.
+    right in decreasing value order. Each run of equal values (0.0 and -0.0
+    included) coalesces into one level set that keeps the run's first value,
+    which makes the output canonical.
     """
-    pieces = sorted(
-        ((v, hi - lo) for lo, hi, v in f.intervals()),
-        key=lambda p: -p[0],
-    )
-    # merge equal-value runs into single level sets
-    merged: list[tuple[float, Fraction]] = []
-    for v, length in pieces:
-        if merged and merged[-1][0] == v:
-            merged[-1] = (v, merged[-1][1] + length)
-        else:
-            merged.append((v, length))
-    bps = [Fraction(0)]
-    vals = []
-    for v, length in merged:
-        bps.append(bps[-1] + length)
-        vals.append(v)
-    return StepFn(tuple(bps), tuple(vals))
+    pieces = sorted(((v, hi - lo) for lo, hi, v in f.intervals()), key=lambda p: -p[0])
+    runs = [(v, sum(p[1] for p in run)) for v, run in groupby(pieces, itemgetter(0))]
+    vals, lengths = zip(*runs)
+    return StepFn(tuple(accumulate(lengths, initial=Fraction(0))), vals)
 
 
 def equimeasurable(f: StepFn, g: StepFn) -> bool:
@@ -204,11 +173,8 @@ def equimeasurable(f: StepFn, g: StepFn) -> bool:
 def pairing(f: StepFn, g: StepFn) -> float:
     """The pairing integral of f against g over [0,1]."""
     rf, rg = refine(f, g)
-    return float(
-        sum(
-            float(hi - lo) * fv * gv
-            for (lo, hi, fv), gv in zip(rf.intervals(), rg.values)
-        )
+    return sum(
+        float(hi - lo) * fv * gv for (lo, hi, fv), gv in zip(rf.intervals(), rg.values)
     )
 
 

@@ -272,6 +272,35 @@ def test_dominance_partial_sum_overflow_exits_3(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def weight(value):
+    return {"kind": "weight", "f": {"breakpoints": [0, 1], "values": [value]}}
+
+
+@pytest.mark.parametrize(
+    "flags, spec, operand",
+    [
+        ([], {"kind": "trace"}, {"x": [[1.5e308, 1.5e308], 1]}),
+        ([], weight(1000), {"x": [1e306, 1e306]}),
+        ([], weight(1000), diag_json(1e306, 1e306)),
+        ([], weight(1000), {"breakpoints": [0, 1], "values": [1e306]}),
+        (["--dual"], weight(0.001), {"x": [1e306, 1e306]}),
+        (["--dual"], weight(0.001), diag_json(1e306, 1e306)),
+    ],
+    ids=[
+        "magnitude", "norm-vector", "norm-matrix", "norm-step", "dual-vector", "dual-matrix"
+    ],
+)
+def test_values_past_the_float_range_exit_3(tmp_path, capsys, flags, spec, operand):
+    # Finite inputs whose modulus, norm or dual overflows once printed
+    # Infinity, or exited 2 as if an entry were not finite.
+    spec = write(tmp_path / "s.json", spec)
+    operand = write(tmp_path / "x.json", operand)
+    assert cli.main(["norm", *flags, spec, operand]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+
+
 def test_dominance_dimension_mismatch_exits_5(tmp_path, capsys):
     a = write(tmp_path / "a.json", diag_json(1, 1))
     b = write(tmp_path / "b.json", diag_json(1, 1, 1))

@@ -25,7 +25,7 @@ from gaugenorm import (
     norm_vec,
 )
 from gaugenorm.dominance import kyfan_dominates
-from gaugenorm.duality import dual_mat
+from gaugenorm.duality import dual_mat, dual_vec
 from gaugenorm.norms import spec_from_json, spec_rows, spec_to_json
 
 vectors = st.lists(
@@ -316,3 +316,27 @@ def test_s_number_overflow_raises_floating_point_error(evaluate):
     # Every entry 1e308 gives s_1 = 2e308, past the float range.
     with pytest.raises(FloatingPointError):
         evaluate(np.full((2, 2), 1e308, dtype=np.complex128))
+
+
+HEAVY = Weight(StepFn.from_uniform([1000.0]))
+LIGHT = Weight(StepFn.from_uniform([0.001]))
+BIG = np.full(2, 1e306)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: norm_vec(Trace(), [complex(1.5e308, 1.5e308), 1.0]),
+        lambda: norm_vec(HEAVY, BIG),
+        lambda: norm_mat(HEAVY, np.diag(BIG).astype(complex)),
+        lambda: norm_step(HEAVY, StepFn.from_uniform([1e306])),
+        lambda: dual_vec(LIGHT, BIG),
+        lambda: dual_mat(LIGHT, np.diag(BIG).astype(complex)),
+    ],
+    ids=["magnitude", "norm_vec", "norm_mat", "norm_step", "dual_vec", "dual_mat"],
+)
+def test_values_past_the_float_range_raise_floating_point_error(evaluate):
+    # Every input is finite; the modulus, the norm or the dual is not.
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="float range"):
+            evaluate()

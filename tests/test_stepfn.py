@@ -25,6 +25,28 @@ values_lists = st.lists(
 )
 
 
+@st.composite
+def sixtieths(draw):
+    """A step function cut at multiples of 1/60, and its values on the 60 cells.
+
+    It has 1 to 6 pieces, and values recur on pieces that are not adjacent.
+    """
+    cuts = sorted(draw(st.lists(st.integers(1, 59), max_size=5, unique=True)))
+    vals = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+            min_size=len(cuts) + 1,
+            max_size=len(cuts) + 1,
+        )
+    )
+    bps = (Fraction(0), *(Fraction(c, 60) for c in cuts), Fraction(1))
+    cells = [vals[sum(c <= k for c in cuts)] for k in range(60)]
+    return StepFn(bps, tuple(vals)), cells
+
+
+MIDPOINTS = [Fraction(2 * k + 1, 120) for k in range(60)]
+
+
 def halves(a, b):
     return StepFn((Fraction(0), Fraction(1, 2), Fraction(1)), (a, b))
 
@@ -52,6 +74,13 @@ def test_evaluation_is_right_continuous():
     assert f(Fraction(1, 4)) == 3.0
     assert f(Fraction(1, 2)) == 1.0
     assert f(Fraction(1)) == 1.0
+    h = StepFn(
+        (Fraction(0), Fraction(1, 5), Fraction(7, 10), Fraction(1)), (2.0, 5.0, 4.0)
+    )
+    assert [h(b) for b in h.breakpoints] == [2.0, 5.0, 4.0, 4.0]
+    for outside in (Fraction(-1, 4), Fraction(5, 4)):
+        with pytest.raises(ValueError, match="outside"):
+            h(outside)
 
 
 def test_from_uniform_reads_back_at_midpoints():
@@ -155,6 +184,19 @@ def test_refine_puts_both_on_common_partition():
         assert rg(t) == g(t)
 
 
+@given(sixtieths(), sixtieths())
+@settings(max_examples=50)
+def test_non_uniform_route_matches_the_cell_values(fc, gc):
+    (f, f_cells), (g, g_cells) = fc, gc
+    assert [rearrange(f)(m) for m in MIDPOINTS] == sorted(f_cells, reverse=True)
+    rf, rg = refine(f, g)
+    assert rf.breakpoints == rg.breakpoints
+    assert [rf(m) for m in MIDPOINTS] == f_cells
+    assert [rg(m) for m in MIDPOINTS] == g_cells
+    expected = sum(a * b for a, b in zip(f_cells, g_cells)) / 60
+    assert pairing(f, g) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 def test_partial_integral_matches_head_area():
     f = StepFn((Fraction(0), Fraction(1, 3), Fraction(1)), (3.0, 1.0))
     assert partial_integral(f, Fraction(1, 3)) == pytest.approx(1.0)
@@ -179,4 +221,3 @@ def test_scale_and_abs_and_max_value():
     f = halves(-2.0, 1.0)
     assert f.abs().values == (2.0, 1.0)
     assert f.scale(2.0).values == (-4.0, 2.0)
-    assert f.abs().max_value() == 2.0
