@@ -230,7 +230,9 @@ EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is reported through FloatingPointError, not a warning
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

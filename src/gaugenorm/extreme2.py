@@ -277,11 +277,6 @@ def _fp_prime(p: float, s: float) -> float:
     return (s ** (p - 1.0) / 2.0) * ((1.0 + s**p) / 2.0) ** (1.0 / p - 1.0)
 
 
-def _fp_second(p: float, x: np.ndarray) -> np.ndarray:
-    """Second derivative of the Lp profile; integrable blowup at 0 for p < 2."""
-    return (p - 1.0) / 4.0 * x ** (p - 2.0) * ((1.0 + x**p) / 2.0) ** (1.0 / p - 2.0)
-
-
 # One tanh-sinh rule on (0, 1) (Takahasi & Mori 1974): nodes
 # u = 1 / (1 + e^(-z)), z = pi sinh(y), at y = k/32 for |y| <= 6, with weights
 # du/dy / 32 = pi cosh(y) u (1 - u) / 32, where pi cosh(y) = hypot(pi, z). The
@@ -293,32 +288,47 @@ _TS_U = 1.0 / (1.0 + np.exp(-_TS_Z))
 _TS_W = np.hypot(math.pi, _TS_Z) / 32.0 * _TS_U / (1.0 + np.exp(_TS_Z))
 _TS_U, _TS_W = _TS_U[_TS_U < 1.0], _TS_W[_TS_U < 1.0]
 _LP_HEAD = 1e-10
+_LP_SPIKE = 64.0
 
 
 def _lp_integral(p: float, s: float, u: np.ndarray, w: np.ndarray) -> float:
     """The integral of max(t, (1+s)/2) 4 f_p''(2t-1) over t in [1/2, 1].
 
-    In x = 2t - 1 the integrand is max(1+x, 1+s) f_p''(x). On the head
-    [0, delta] the factor is 1+s and f_p'(0) = 0, so the head is exactly
-    (1+s) f_p'(delta). The rule (u, w) covers [delta, max(s, delta)] and
-    [max(s, delta), 1], split at the kink; its nodes crowd double
-    exponentially toward each end, which absorbs the x^(p-2) blowup at delta.
+    In x = 2t - 1 the integrand is max(1+x, 1+s) f_p''(x), where
+    f_p''(x) = (p-1)/4 2^(2-1/p) x^(p-2) (1+x^p)^(1/p-2). One pass of the
+    rule (u, w) covers two rows of nodes split at the kink x = s. For p <= 64
+    they are [delta, max(s, delta)] and [max(s, delta), 1], and the head
+    [0, delta] is exactly (1+s) f_p'(delta) since f_p'(0) = 0; the nodes
+    crowd double exponentially toward each end, absorbing the x^(p-2) blowup
+    at delta. Above, f_p'' is a spike of width 1/p at x = 1: the rows run in
+    v = p(1-x) over [0, 64], split at min(p(1-s), 64), with
+    x^(p-2) = exp((p-2) log1p(-v/p)); below 1 - 64/p, f_p'' integrates to
+    about e^-64 and is dropped.
     """
-    k = max(s, _LP_HEAD)
-    x = _LP_HEAD + (k - _LP_HEAD) * u
-    left = (1.0 + s) * (k - _LP_HEAD) * (_fp_second(p, x) @ w)
-    x = k + (1.0 - k) * u
-    right = (1.0 - k) * (((1.0 + x) * _fp_second(p, x)) @ w)
-    return (1.0 + s) * _fp_prime(p, _LP_HEAD) + left + right
+    if p > _LP_SPIKE:
+        k = min(p * (1.0 - s), _LP_SPIKE)
+        lo, width = np.array([k / p, 0.0]), np.array([_LP_SPIKE - k, k]) / p
+        r = lo[:, None] + width[:, None] * u
+        x = 1.0 - r
+        xq = np.exp((p - 2.0) * np.log1p(-r))
+        head = 0.0
+    else:
+        k = max(s, _LP_HEAD)
+        lo, width = np.array([_LP_HEAD, k]), np.array([k - _LP_HEAD, 1.0 - k])
+        x = lo[:, None] + width[:, None] * u
+        xq = x ** (p - 2.0)
+        head = (1.0 + s) * _fp_prime(p, _LP_HEAD)
+    g = (np.maximum(x, s) + 1.0) * xq * (1.0 + xq * x * x) ** (1.0 / p - 2.0)
+    left, right = (g @ w * width).tolist()
+    return head + (p - 1.0) / 4.0 * 2.0 ** (2.0 - 1.0 / p) * (left + right)
 
 
 def lp_density_check(p: float, s_grid=None) -> float:
     """Max error of the extreme-point integral form of the Lp profile.
 
     For each s in the grid (11 points on [0, 1] by default), integrates
-    max(t, (1+s)/2) * 4 f_p''(2t-1) over t in [1/2, 1] with one fixed
-    tanh-sinh rule split at the kink t = (1+s)/2, the endpoint blowup of
-    f_p'' at t = 1/2 (for 1 < p < 2) peeled off in closed form; see
+    max(t, (1+s)/2) * 4 f_p''(2t-1) over t in [1/2, 1] in one pass of a
+    fixed tanh-sinh rule over two rows of nodes split at the kink; see
     ``_lp_integral``. Integration by parts makes the integral equal f_p(s)
     exactly, so the returned float, the max over s of the distance to f_p(s),
     is the quadrature error. p outside (1, inf) or an empty grid: ValueError.
@@ -335,7 +345,7 @@ def lp_density_check(p: float, s_grid=None) -> float:
         errors.append(abs(_lp_integral(p, s, _TS_U, _TS_W) - _fp(p, s)))
     if not errors:
         raise ValueError("density check needs at least one grid point")
-    return float(np.max(errors))
+    return max(errors)
 
 
 def profile_csv(p: Profile) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -301,6 +302,21 @@ def test_values_past_the_float_range_exit_3(tmp_path, capsys, flags, spec, opera
     assert captured.err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "operand", [{"x": [1e306, 1e306]}, diag_json(1e306, 1e306)], ids=["vector", "matrix"]
+)
+def test_overflowing_norm_raises_no_numpy_warning(tmp_path, capsys, operand):
+    # The overflowing row product once printed a RuntimeWarning and its
+    # source line on stderr ahead of the error line.
+    spec = write(tmp_path / "s.json", weight(1000))
+    operand = write(tmp_path / "x.json", operand)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["norm", spec, operand]) == 3
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == "error: norm overflows the float range\n"
+
+
 def test_dominance_dimension_mismatch_exits_5(tmp_path, capsys):
     a = write(tmp_path / "a.json", diag_json(1, 1))
     b = write(tmp_path / "b.json", diag_json(1, 1, 1))
@@ -356,6 +372,15 @@ def test_lpcheck_reports_small_error(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["max_error"] <= 1e-6
+
+
+def test_lpcheck_passes_at_huge_p(capsys):
+    # The rule once missed the spike of f_p'' at t = 1: 4.2e-4, exit 3.
+    code, out = run(capsys, ["lpcheck", "--p", "1e12"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["max_error"] <= 1e-14
 
 
 @pytest.mark.parametrize(

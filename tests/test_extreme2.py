@@ -250,7 +250,10 @@ def test_lp_density_identity_small_p():
         lp_density_check(1.0)
 
 
-LP_SWEEP = (1.001, 1.01, 1.05, 1.2, 1.5, 1.9, 2.0, 2.5, 3.0, 10.0, 50.0, 1000.0)
+LP_SWEEP = (
+    1.001, 1.01, 1.05, 1.2, 1.5, 1.9, 2.0, 2.5, 3.0, 10.0, 50.0, 64.0, 64.5,
+    1000.0, 1e8, 1e12, 1e15, 1e300,
+)
 
 
 @pytest.mark.parametrize("p", LP_SWEEP)
@@ -315,6 +318,26 @@ def test_lp_rule_level_has_converged(p):
         fine = ex2._lp_integral(p, s, u, w)
         coarse = ex2._lp_integral(p, s, u[::2], 2.0 * w[::2])
         assert abs(fine - coarse) <= 1e-6
+
+
+@pytest.mark.parametrize("p", (1e8, 1e12))
+@pytest.mark.parametrize("s", (0.0, 0.5, 1.0 - 1e-9, 1.0))
+def test_lp_integral_at_huge_p_matches_mpmath(p, s):
+    # The raw x-integral of max(1+x, 1+s) f_p''(x) at 30 digits, with
+    # breakpoints at the kink and across the spike of width 1/p at x = 1;
+    # neither the substitution v = p(1-x) nor the closed form f_p(s) is used.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        P, S = mpmath.mpf(p), mpmath.mpf(s)
+
+        def integrand(x):
+            fpp = (P - 1) / 4 * x ** (P - 2) * ((1 + x**P) / 2) ** (1 / P - 2)
+            return (1 + max(x, S)) * fpp
+
+        spike = (1 - mpmath.mpf(v) / P for v in (1000, 100, 30, 10, 3, 1))
+        want = mpmath.quad(integrand, sorted({mpmath.mpf(0), S, *spike, mpmath.mpf(1)}))
+        got = ex2._lp_integral(p, s, ex2._TS_U, ex2._TS_W)
+        assert abs(mpmath.mpf(got) - want) <= 1e-13, (got, float(want))
 
 
 def test_profile_csv_rows_have_distinct_s():
