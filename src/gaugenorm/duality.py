@@ -24,9 +24,12 @@ incremental double description on the homogenized cone, run on rows scaled
 to a largest staircase entry of 1 with 0/1 tight sets for adjacency, so
 the vertices scale with the rows across the float range. The dual ball is
 itself polyhedral: its rows are the primal ball's nonzero vertices over n,
-nonzero relative to the largest vertex. The double-dual involution runs the
-same LP on those rows, and the finite representation check enumerates their
-vertices.
+nonzero relative to the largest vertex (``dual_spec``). The double dual needs
+no vertices: by LP duality, z lies in the dual ball exactly when some
+pi >= 0 with sum(pi) <= 1 has prefix sums B^T pi >= cumsum(z/n), so the
+double dual of x is one lifted LP over the staircase of z and pi, at any n.
+Its optimal z is a representing weight: in the dual ball, and pairing with
+x*/n to the norm.
 """
 
 from __future__ import annotations
@@ -55,16 +58,29 @@ PIVOT_TOL = 1e-10
 VERTEX_DIM_CAP = 12
 
 
-def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximize c . x subject to B x <= 1, x >= 0.
+def simplex_max(
+    c: np.ndarray, B: np.ndarray, b: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Maximize c . x subject to B x <= b, x >= 0, with b all ones by default.
 
-    The all-ones right-hand side keeps the slack basis feasible, so no
-    phase-1 is needed. Dantzig's rule prices the columns: the most negative
+    A right-hand side b >= 0 keeps the slack basis feasible, so no phase-1
+    is needed. Dantzig's rule prices the columns: the most negative
     reduced cost enters (the lowest index among ties), so the pivot count
-    follows the number of rows rather than the number of columns. After the
-    first degenerate pivot (a zero step) Bland's rule takes over for good:
-    the lowest eligible index enters, and the lowest basis index leaves
-    among ratio ties, which guarantees termination (Bland 1977).
+    follows the number of rows rather than the number of columns. A
+    degenerate pivot (a zero step) leaves the objective where it is, and
+    from a vertex with k zero right-hand sides it can take k of them in a
+    row before the objective moves. So once a run of degenerate pivots is
+    longer than the number of zeros in b (with the default b, at the first
+    one) Bland's rule takes over for good: the lowest eligible index
+    enters, and the lowest basis index leaves among ratio ties. Before that
+    every run is bounded and every other pivot raises the objective, and
+    after it Bland's rule cannot cycle (Bland 1977), so the loop ends.
+
+    A long degenerate solve breaks on pivots that are rounding noise, so an
+    entry counts as zero up to PIVOT_TOL times the largest entry of its
+    column, when that exceeds 1. Rounding can also leave a right-hand side
+    a few ulps below 0; the ratio test and the pivot row read it as 0, since
+    a negative step would lower the objective and void the guarantee.
     """
     B = np.asarray(B, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -72,22 +88,26 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     tab = np.zeros((m + 1, d + m + 1))
     tab[:m, :d] = B
     tab[:m, d : d + m] = np.eye(m)
-    tab[:m, -1] = 1.0
+    tab[:m, -1] = 1.0 if b is None else b
     tab[m, :d] = -c
     basis = list(range(d, d + m))
+    allowed = 0 if b is None else int(np.count_nonzero(tab[:m, -1] == 0.0))
+    run = 0
     bland = False
     while True:
         reduced = tab[m, :-1]
         # Bland enters the first negative reduced cost, Dantzig the smallest
-        enter = int(np.argmax(reduced < -PIVOT_TOL) if bland else np.argmin(reduced))
+        enter = int((reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin())
         if reduced[enter] >= -PIVOT_TOL:
             break
+        # Python floats divide like float64, and skip numpy scalar indexing
+        column = tab[:m, enter].tolist()
+        tol = PIVOT_TOL * max(1.0, max(column), -min(column))
         leave = -1
         best = math.inf
-        # Python floats divide like float64, and skip numpy scalar indexing
-        for i, (a, r) in enumerate(zip(tab[:m, enter].tolist(), tab[:m, -1].tolist())):
-            if a > PIVOT_TOL:
-                ratio = r / a
+        for i, (a, r) in enumerate(zip(column, tab[:m, -1].tolist())):
+            if a > tol:
+                ratio = max(r, 0.0) / a
                 if ratio < best - 1e-15 or (
                     abs(ratio - best) <= 1e-15
                     and (leave < 0 or basis[i] < basis[leave])
@@ -97,8 +117,10 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
         if leave < 0:
             raise RuntimeError("LP is unbounded; the row set is not a norm ball")
         # Dantzig's rule can cycle through degenerate pivots; Bland's cannot.
-        bland = bland or best <= 0.0
+        run = run + 1 if best <= 0.0 else 0
+        bland = bland or run > allowed
         row = tab[leave]
+        row[-1] = max(row[-1], 0.0)
         row /= row[enter]
         # One rank-1 update eliminates the pivot column from every other
         # row. A row with a zero entry there subtracts an exact zero, so this
@@ -108,9 +130,9 @@ def simplex_max(c: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
         tab -= col[:, None] * row
         basis[leave] = enter
     x = np.zeros(d)
-    for i, b in enumerate(basis):
-        if b < d:
-            x[b] = tab[i, -1]
+    for i, j in enumerate(basis):
+        if j < d:
+            x[j] = tab[i, -1]
     return float(tab[m, -1]), x
 
 
@@ -286,33 +308,81 @@ def dual_spec(spec: NormSpec, n: int) -> SupOf:
     return SupOf(tuple(StepFn.from_uniform(v.tolist()) for v in _dual_rows(spec, n)))
 
 
+@lru_cache(maxsize=64)
+def _staircase_gram(n: int) -> np.ndarray:
+    """M / n with M_ij = min(i, j), 1-based, rows from i = n down to 1.
+
+    M mu / n is cumsum(z/n) for the staircase mu of z (z_i = mu_i + ... +
+    mu_n). Row n comes first so that, among the degenerate ties of the
+    lifted LP, the longest prefix leaves the basis first: that row holds
+    the largest entries, and it halves the pivots against the natural order.
+    """
+    k = np.arange(1, n + 1)
+    M = np.minimum.outer(k[::-1], k) / n
+    M.flags.writeable = False
+    return M
+
+
+def _double_dual(R: np.ndarray, xstar: np.ndarray) -> tuple[float, np.ndarray]:
+    """The double dual of the norm max(R @ y) at the ordered xstar, with a
+    representing weight z: one LP, no vertices.
+
+    With B the prefix sums of the rows, z is in the dual ball exactly when
+    some pi >= 0 with sum(pi) <= 1 has M mu / n <= B^T pi, mu being z's
+    staircase. So the double dual is
+
+        maximize cumsum(x*/n) . mu  subject to  M mu / n - B^T pi <= 0,
+                                                sum(pi) <= 1,  mu, pi >= 0,
+
+    whose right-hand side (0, ..., 0, 1) keeps the slack basis feasible;
+    its first n rows run in the order of ``_staircase_gram``. It is solved
+    at x*_1 = 1 and max(B) = 1, like ``_rows_dual``: the value scales back
+    by x*_1 max(B), and z by max(B).
+    """
+    n = xstar.size
+    top = float(xstar[0])
+    if top == 0.0:
+        return 0.0, np.zeros(n)
+    B = np.cumsum(R, axis=1)
+    scale = float(B.max())
+    if not scale > 0.0:
+        raise RuntimeError("LP is unbounded; the row set is not a norm ball")
+    m = B.shape[0]
+    A = np.zeros((n + 1, n + m))
+    A[:n, :n] = _staircase_gram(n)
+    A[:n, n:] = B.T[::-1] / -scale
+    A[n, n:] = 1.0
+    c = np.zeros(n + m)
+    c[:n] = np.cumsum(xstar / top / n)
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    value, v = simplex_max(c, A, b)
+    # a basic mu that rounding left a few ulps below 0 is 0, so z is ordered
+    z = np.cumsum(np.maximum(v[n - 1 :: -1], 0.0))[::-1]
+    return value * (top * scale), z * scale
+
+
 def involution_check(spec: NormSpec, x) -> tuple[float, float]:
     """The norm of x and its double dual, which the duality involution equates.
 
-    The dual ball's rows come from the primal ball's vertices, so the double
-    dual is the same LP over those rows.
+    The double dual is the lifted LP of ``_double_dual`` over the norm's own
+    rows, so it needs no vertex enumeration and works at every n.
     """
     xstar = sorted_magnitudes(x)
-    primal = norm_vec(spec, xstar)
-    double_dual, _ = _rows_dual(_dual_rows(spec, xstar.size) / xstar.size, xstar)
-    return primal, double_dual
+    return norm_vec(spec, xstar), _double_dual(spec_rows(spec, xstar.size), xstar)[0]
 
 
-def representation_check(spec: SupOf, T: np.ndarray) -> tuple[float, float]:
+def representation_check(spec: NormSpec, T: np.ndarray) -> tuple[float, float]:
     """Norm of T versus its best weight-norm value over the dual ball.
 
-    The right-hand side enumerates the vertices of the dual unit ball (on the
-    ordered cone) and pairs each against the s-number profile of T; the
-    maximum must reproduce the norm itself.
+    The right-hand side pairs the s-numbers s of T with the representing
+    weight z of the lifted LP, z . s / n: the representation theorem says
+    the maximum over the dual ball reproduces the norm. Every polyhedral
+    spec works; ``Lp`` raises ``UnsupportedSpecError``.
     """
-    if not isinstance(spec, SupOf):
-        raise UnsupportedSpecError("representation check expects a SupOf spec")
-    n = T.shape[0]
-    lhs = norm_mat(spec, T)
-    dual_verts = ball_vertices(_dual_rows(spec, n) / n, n)
     s = linalg.s_numbers(T)
-    rhs = max(float(w @ s) / n for w in dual_verts)
-    return lhs, rhs
+    z = _double_dual(spec_rows(spec, s.size), s)[1]
+    return norm_vec(spec, s), float(z @ s) / s.size
 
 
 def holder_check(

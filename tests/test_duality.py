@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,7 +29,9 @@ from gaugenorm import (
 )
 from gaugenorm.duality import (
     UnsupportedSpecError,
+    _double_dual,
     _dual_rows,
+    _rows_dual,
     ball_vertices,
     dual_spec,
     involution_check,
@@ -320,8 +324,8 @@ def test_dual_spec_of_kyfan_matches_bracket_form():
 @given(vectors, seeds)
 @settings(max_examples=40, deadline=None)
 def test_dual_spec_agrees_with_the_rows_route(x, seed):
-    # involution_check takes the double dual over the vertex rows directly;
-    # dual_spec rebuilds the same dual as step weights.
+    # involution_check takes the double dual by the lifted LP; dual_spec
+    # rebuilds the dual from the primal ball's vertices as step weights.
     spec = polyhedral_specs(len(x), seed)[seed % 8]
     _, double = involution_check(spec, x)
     assert dual_vec(dual_spec(spec, len(x)), x) == pytest.approx(
@@ -823,3 +827,136 @@ def test_a_redundant_row_leaves_the_vertices_unchanged(n):
     got = ball_vertices(rows, n)
     assert_same_vertices(got, ball_vertices(spec_rows(Weight(w), n), n))
     assert_same_vertices(got, boolean_ball_vertices(rows, n))
+
+
+# The lifted LP: the double dual and a representing weight without vertices
+
+
+def lifted_case(seed, n):
+    """A polyhedral spec, on the uniform grid (odd seeds) or off it (even
+    seeds), and an operand at a scale between 1e-100 and 1e100."""
+    rng = np.random.default_rng(1000 + seed)
+    if seed % 2:
+        spec = polyhedral_specs(n, seed)[seed // 2 % 8]
+    else:
+        spec = random_row_spec(rng, ROW_KINDS[seed // 2 % 4])
+    return spec, rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+
+
+def assert_representing_weight(spec, xstar, value, z):
+    """z lies in the dual ball and pairs with x*/n to the double dual."""
+    assert np.all(z >= 0.0) and np.all(np.diff(z) <= 0.0)
+    assert dual_vec(spec, z) <= 1.0 + 1e-12
+    assert float(z @ xstar) / xstar.size == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lifted_double_dual_matches_the_vertex_route(seed):
+    n = 2 + seed % 11
+    spec, x = lifted_case(seed, n)
+    xstar = np.sort(np.abs(x))[::-1]
+    value, z = _double_dual(spec_rows(spec, n), xstar)
+    vertex_value, _ = _rows_dual(_dual_rows(spec, n) / n, xstar)
+    assert value == pytest.approx(vertex_value, rel=1e-12, abs=0)
+    assert_representing_weight(spec, xstar, value, z)
+
+
+@pytest.mark.parametrize("kind", ["weight", "supof", "csup", "uniform-supof"])
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
+def test_lifted_double_dual_past_the_vertex_cap(n, kind):
+    # the vertex route stops at n = 12; "uniform-supof" is a supremum of
+    # three weights on the uniform n-partition, the others are off it
+    rng = np.random.default_rng(1200 + n + len(kind))
+    if kind == "uniform-supof":
+        spec = SupOf(gn.proptest.random_supof_fns(n, gn.Rng64(n), 3, normalized=True))
+    else:
+        spec = random_row_spec(rng, kind)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+    xstar = np.sort(np.abs(x))[::-1]
+    value, z = _double_dual(spec_rows(spec, n), xstar)
+    assert value == pytest.approx(norm_vec(spec, x), rel=1e-12, abs=0)
+    assert_representing_weight(spec, xstar, value, z)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after the given wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_lifted_lp_ends_when_rounding_leaves_a_negative_right_hand_side():
+    # Rank-1 updates leave right-hand sides a few ulps below 0 here. Read as
+    # they are, the ratio test takes negative steps and the objective falls:
+    # this solve then ran past 5,000 pivots without ending.
+    x = np.random.default_rng(374).uniform(size=128)
+    with time_limit(10.0):
+        primal, double = involution_check(KyFan(Fraction(1, 128)), x)
+    assert double == pytest.approx(primal, rel=1e-12, abs=0)
+
+
+def test_a_right_hand_side_below_zero_reads_as_zero():
+    # a basic variable at -1e-17 would enter x at -1e-8 and lower the value
+    value, x = simplex_max(
+        np.array([1.0]), np.array([[1.0], [1e-9]]), np.array([1.0, -1e-17])
+    )
+    assert value == 0.0
+    np.testing.assert_array_equal(x, [0.0])
+
+
+def test_a_right_hand_side_of_ones_pivots_as_the_default():
+    rng = np.random.default_rng(5)
+    B = np.vstack([np.cumsum(rng.uniform(1e-3, 1.0, size=(4, 9)), axis=1)] * 2)
+    c = np.cumsum(rng.uniform(0.0, 1.0, size=9))
+    value, x = simplex_max(c, B)
+    ones_value, ones_x = simplex_max(c, B, np.ones(len(B)))
+    assert ones_value == value
+    np.testing.assert_array_equal(ones_x, x)
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS)
+def test_lifted_double_dual_matches_scipy_linprog(kind):
+    # The same LP written in z rather than its staircase: maximize x* . z / n
+    # over z_1 >= ... >= z_n >= 0 and pi >= 0 with cumsum(z) / n <= B^T pi
+    # and sum(pi) <= 1, with B from the Fraction route's rows.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(1100 + ROW_KINDS.index(kind))
+    n = 64
+    spec = random_row_spec(rng, kind)
+    xstar = np.sort(np.abs(rng.standard_normal(n)))[::-1]
+    B = np.cumsum(np.array(reference_rows(spec, n), dtype=float), axis=1)
+    m = len(B)
+    prefix = np.hstack([np.tril(np.ones((n, n))) / n, -B.T])
+    order = np.hstack([np.eye(n, k=1)[: n - 1] - np.eye(n)[: n - 1], np.zeros((n - 1, m))])
+    total = np.concatenate([np.zeros(n), np.ones(m)])
+    result = linprog(
+        np.concatenate([-xstar / n, np.zeros(m)]),
+        A_ub=np.vstack([prefix, order, total]),
+        b_ub=np.concatenate([np.zeros(2 * n - 1), [1.0]]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status == 0
+    value, z = _double_dual(spec_rows(spec, n), xstar)
+    assert value == pytest.approx(-result.fun, rel=1e-9, abs=0)
+    assert_representing_weight(spec, xstar, value, z)
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_representation_check_takes_every_polyhedral_kind(n):
+    rng = gn.Rng64(77 + n)
+    T = gn.random_matrix(n, rng.next_u64())
+    for spec in polyhedral_specs(n, 77 + n):
+        lhs, rhs = representation_check(spec, T)
+        assert rhs == pytest.approx(lhs, rel=1e-12, abs=0)
+    with pytest.raises(UnsupportedSpecError):
+        representation_check(Lp(3), T)
