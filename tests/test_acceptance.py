@@ -155,7 +155,7 @@ def test_criterion_04_supremum_norms_equal_their_dual_ball_form():
         lhs, rhs = gn.representation_check(spec, T)
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-8
-    _line(4, ok, f"max |norm - vertex pairing max| = {worst:.2e} over 100 pairs")
+    _line(4, ok, f"max |norm - representing weight pairing| = {worst:.2e} over 100 pairs")
     assert worst <= 1e-8
 
 
